@@ -10,25 +10,35 @@ Combination rules on shared parameters:
 * union / OR product:  truth = max, indeterminacy = min, falsity = min
 * intersection / AND product: truth = min, indeterminacy = min, falsity = max
 
-These rules preserve the triple validity bounds, so results are rebuilt
-through the checked GradeTriple constructor and closure holds by
-construction.
+These rules (and complement's swap of truth with falsity) preserve the
+triple validity bounds, so closure holds by construction.
+
+Each value set is stored as three aligned columns of tick counts (truth,
+indeterminacy, falsity) in universe order, and every operation works
+column-wise on those integers.  A value set also records whether its cells
+are known to be valid: a result computed from valid value sets is valid
+without a check, and any other result is checked in bulk, raising
+ConstraintViolation for its first bad cell.  GradeTriple objects are built
+from the columns only when a caller looks a cell up.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from operator import gt, lt
 from types import MappingProxyType
 
 from .errors import (
+    ConstraintViolation,
     DuplicateElement,
     DuplicateParameter,
     EmptyParameterIntersection,
     UniverseMismatch,
     UnknownParameter,
 )
-from .grades import ZERO_TRIPLE, GradeTriple, complement_triple
+from .grades import COMPONENTS, GradeTriple, first_violation, triples_from_ticks
 
 __all__ = [
     "Parameter",
@@ -101,10 +111,17 @@ def not_parameters(parameters: Iterable[ParamLike]) -> tuple[ParamLike, ...]:
     return tuple(p.negate() for p in parameters)
 
 
-class InsSet(Mapping):
-    """A total assignment of grade triples over an ordered universe."""
+Columns = tuple  # (truth, indeterminacy, falsity) tick counts, each in universe order
 
-    __slots__ = ("_universe", "_triples")
+
+class InsSet(Mapping):
+    """A total assignment of grade triples over an ordered universe.
+
+    The grades are held as three ``array("H")`` tick columns; the
+    GradeTriple objects are built the first time an element is looked up.
+    """
+
+    __slots__ = ("_universe", "_columns", "_valid", "_cells")
 
     def __init__(self, universe: Sequence[str], triples: Mapping[str, GradeTriple]):
         self._universe = tuple(universe)
@@ -121,14 +138,39 @@ class InsSet(Mapping):
         for element in self._universe:
             if not isinstance(triples[element], GradeTriple):
                 raise TypeError(f"value for {element!r} is not a GradeTriple")
-        self._triples = {e: triples[e] for e in self._universe}
+        given = [triples[e] for e in self._universe]
+        self._columns = tuple(
+            array("H", [getattr(triple, name).ten_thousandths for triple in given])
+            for name in COMPONENTS
+        )
+        self._valid = first_violation(*self._columns) is None
+        self._cells = None
+
+    @classmethod
+    def _of(cls, universe: tuple[str, ...], columns: Columns, valid: bool) -> "InsSet":
+        """A value set from tick columns that already cover ``universe``;
+        ``valid`` says whether every cell is known to meet the joint bounds."""
+        self = cls.__new__(cls)
+        self._universe = universe
+        self._columns = tuple(array("H", column) for column in columns)
+        self._valid = valid
+        self._cells = None
+        return self
 
     @property
     def universe(self) -> tuple[str, ...]:
         return self._universe
 
+    def _triples(self) -> dict[str, GradeTriple]:
+        if self._cells is None:
+            self._cells = triples_from_ticks(self._universe, *self._columns)
+        return self._cells
+
     def __getitem__(self, element: str) -> GradeTriple:
-        return self._triples[element]
+        cells = self._cells
+        if cells is None:
+            cells = self._triples()
+        return cells[element]
 
     def __iter__(self):
         return iter(self._universe)
@@ -136,14 +178,26 @@ class InsSet(Mapping):
     def __len__(self) -> int:
         return len(self._universe)
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, InsSet) and other._universe == self._universe:
+            return other._columns == self._columns
+        return Mapping.__eq__(self, other)
+
     def __repr__(self) -> str:
-        return f"InsSet({self._triples!r})"
+        return f"InsSet({self._triples()!r})"
+
+
+def _add_label(by_label: dict[str, ParamLike], param: ParamLike) -> None:
+    label = param.label
+    if label in by_label:
+        raise DuplicateParameter(f"parameters {by_label[label]!r} and {param!r} share label '{label}'")
+    by_label[label] = param
 
 
 class SoftSet:
     """An ordered family of value sets, one per parameter."""
 
-    __slots__ = ("_universe", "_parameters", "_family")
+    __slots__ = ("_universe", "_parameters", "_family", "_by_label")
 
     def __init__(
         self,
@@ -162,18 +216,14 @@ class SoftSet:
 
         self._parameters = tuple(parameters)
         seen_params: set[ParamLike] = set()
-        seen_labels: dict[str, ParamLike] = {}
+        self._by_label: dict[str, ParamLike] = {}
         for param in self._parameters:
             if not isinstance(param, (Parameter, CompoundParameter)):
                 raise TypeError(f"not a parameter: {param!r}")
             if param in seen_params:
                 raise DuplicateParameter(f"duplicate parameter '{param.label}'")
-            if param.label in seen_labels:
-                raise DuplicateParameter(
-                    f"parameters {seen_labels[param.label]!r} and {param!r} share label '{param.label}'"
-                )
+            _add_label(self._by_label, param)
             seen_params.add(param)
-            seen_labels[param.label] = param
 
         given = set(family)
         if given != seen_params:
@@ -188,11 +238,28 @@ class SoftSet:
 
         built = {}
         for param in self._parameters:
+            value_set = family[param]
+            if isinstance(value_set, InsSet) and value_set.universe == self._universe:
+                built[param] = value_set
+                continue
             try:
-                built[param] = InsSet(self._universe, family[param])
+                built[param] = InsSet(self._universe, value_set)
             except ValueError as err:
                 raise ValueError(f"parameter '{param.label}': {err}") from None
         self._family = built
+
+    @classmethod
+    def _of(cls, universe: tuple[str, ...], family: dict[ParamLike, InsSet]) -> "SoftSet":
+        """Wrap value sets over ``universe`` whose parameters (the keys, in
+        order) are already known to be distinct; only their labels are checked."""
+        self = cls.__new__(cls)
+        self._universe = universe
+        self._parameters = tuple(family)
+        self._family = family
+        self._by_label = {}
+        for param in self._parameters:
+            _add_label(self._by_label, param)
+        return self
 
     @property
     def universe(self) -> tuple[str, ...]:
@@ -220,10 +287,10 @@ class SoftSet:
 
     def find_parameter(self, label: str) -> ParamLike:
         """Look a parameter up by its display label."""
-        for param in self._parameters:
-            if param.label == label:
-                return param
-        raise UnknownParameter(f"unknown parameter '{label}'")
+        try:
+            return self._by_label[label]
+        except (KeyError, TypeError):
+            raise UnknownParameter(f"unknown parameter '{label}'") from None
 
     def restrict(self, parameters: Sequence[ParamLike]) -> "SoftSet":
         """The same universe, narrowed to the given parameters in the given order."""
@@ -252,39 +319,45 @@ def _require_same_universe(left: SoftSet, right: SoftSet) -> None:
         )
 
 
-def _join(a: GradeTriple, b: GradeTriple) -> GradeTriple:
-    return GradeTriple(
-        max(a.truth, b.truth),
-        min(a.indeterminacy, b.indeterminacy),
-        min(a.falsity, b.falsity),
-    )
+def _larger(a, b) -> list[int]:
+    return [x if x >= y else y for x, y in zip(a, b)]
 
 
-def _meet(a: GradeTriple, b: GradeTriple) -> GradeTriple:
-    return GradeTriple(
-        min(a.truth, b.truth),
-        min(a.indeterminacy, b.indeterminacy),
-        max(a.falsity, b.falsity),
-    )
+def _smaller(a, b) -> list[int]:
+    return [x if x <= y else y for x, y in zip(a, b)]
+
+
+def _join(a: Columns, b: Columns) -> Columns:
+    return (_larger(a[0], b[0]), _smaller(a[1], b[1]), _smaller(a[2], b[2]))
+
+
+def _meet(a: Columns, b: Columns) -> Columns:
+    return (_smaller(a[0], b[0]), _smaller(a[1], b[1]), _larger(a[2], b[2]))
+
+
+def _result(universe: tuple[str, ...], columns: Columns, from_valid: bool) -> InsSet:
+    """A computed value set; unless its inputs were all valid, check it."""
+    if not from_valid:
+        problem = first_violation(*columns)
+        if problem is not None:
+            raise ConstraintViolation(problem[1])
+    return InsSet._of(universe, columns, True)
+
+
+def _combine(ours: InsSet, theirs: InsSet, rule) -> InsSet:
+    return _result(ours.universe, rule(ours._columns, theirs._columns), ours._valid and theirs._valid)
 
 
 def is_subset(left: SoftSet, right: SoftSet) -> bool:
     """Containment: parameters included, truth and indeterminacy no larger,
     falsity no smaller, elementwise.  Not strict: equal sets contain each other."""
     _require_same_universe(left, right)
-    right_params = set(right.parameters)
-    if any(p not in right_params for p in left.parameters):
+    if any(not right.has_parameter(p) for p in left.parameters):
         return False
     for param in left.parameters:
-        ours, theirs = left.value_set(param), right.value_set(param)
-        for element in left.universe:
-            a, b = ours[element], theirs[element]
-            if not (
-                a.truth <= b.truth
-                and a.indeterminacy <= b.indeterminacy
-                and a.falsity >= b.falsity
-            ):
-                return False
+        (ta, ia, fa), (tb, ib, fb) = left._family[param]._columns, right._family[param]._columns
+        if any(map(gt, ta, tb)) or any(map(gt, ia, ib)) or any(map(lt, fa, fb)):
+            return False
     return True
 
 
@@ -295,84 +368,63 @@ def equals(left: SoftSet, right: SoftSet) -> bool:
 
 def complement(soft_set: SoftSet) -> SoftSet:
     """Negate every parameter and swap truth with falsity in every triple."""
-    family = {
-        param.negate(): {e: complement_triple(tr) for e, tr in soft_set.value_set(param).items()}
-        for param in soft_set.parameters
-    }
-    return SoftSet(soft_set.universe, not_parameters(soft_set.parameters), family)
+    family = {}
+    for param, value_set in soft_set._family.items():
+        truth, indeterminacy, falsity = value_set._columns
+        family[param.negate()] = _result(soft_set.universe, (falsity, indeterminacy, truth), value_set._valid)
+    return SoftSet._of(soft_set.universe, family)
 
 
 def is_null(soft_set: SoftSet) -> bool:
     """True when every triple is (0, 0, 0)."""
-    return all(
-        triple == ZERO_TRIPLE
-        for param in soft_set.parameters
-        for triple in soft_set.value_set(param).values()
-    )
+    return not any(any(column) for value_set in soft_set._family.values() for column in value_set._columns)
 
 
 def union(left: SoftSet, right: SoftSet) -> SoftSet:
-    """Join on shared parameters (max/min/min); unshared value sets are copied.
+    """Join on shared parameters (max/min/min); unshared value sets carry over.
 
     Result parameters: left's, then right's that left lacks, orders kept.
     """
     _require_same_universe(left, right)
-    left_params, right_params = set(left.parameters), set(right.parameters)
-    parameters = left.parameters + tuple(p for p in right.parameters if p not in left_params)
     family = {}
-    for param in parameters:
-        if param in left_params and param in right_params:
-            ours, theirs = left.value_set(param), right.value_set(param)
-            family[param] = {e: _join(ours[e], theirs[e]) for e in left.universe}
-        elif param in left_params:
-            family[param] = dict(left.value_set(param))
-        else:
-            family[param] = dict(right.value_set(param))
-    return SoftSet(left.universe, parameters, family)
+    for param, ours in left._family.items():
+        theirs = right._family.get(param)
+        family[param] = ours if theirs is None else _combine(ours, theirs, _join)
+    for param, theirs in right._family.items():
+        family.setdefault(param, theirs)
+    return SoftSet._of(left.universe, family)
 
 
 def intersection(left: SoftSet, right: SoftSet) -> SoftSet:
     """Meet on shared parameters (min/min/max); requires at least one."""
     _require_same_universe(left, right)
-    right_params = set(right.parameters)
-    parameters = tuple(p for p in left.parameters if p in right_params)
-    if not parameters:
+    family = {
+        param: _combine(ours, right._family[param], _meet)
+        for param, ours in left._family.items()
+        if param in right._family
+    }
+    if not family:
         raise EmptyParameterIntersection("the parameter sets share no member")
+    return SoftSet._of(left.universe, family)
+
+
+def _product(left: SoftSet, right: SoftSet, rule) -> SoftSet:
+    _require_same_universe(left, right)
     family = {}
-    for param in parameters:
-        ours, theirs = left.value_set(param), right.value_set(param)
-        family[param] = {e: _meet(ours[e], theirs[e]) for e in left.universe}
-    return SoftSet(left.universe, parameters, family)
+    for a, ours in left._family.items():
+        for b, theirs in right._family.items():
+            family[CompoundParameter(a, b)] = _combine(ours, theirs, rule)
+    return SoftSet._of(left.universe, family)
 
 
 def and_op(left: SoftSet, right: SoftSet) -> SoftSet:
     """Pairwise product with the meet rule; columns in row-major pair order."""
-    _require_same_universe(left, right)
-    parameters = []
-    family = {}
-    for a in left.parameters:
-        ours = left.value_set(a)
-        for b in right.parameters:
-            theirs = right.value_set(b)
-            pair = CompoundParameter(a, b)
-            parameters.append(pair)
-            family[pair] = {e: _meet(ours[e], theirs[e]) for e in left.universe}
-    return SoftSet(left.universe, tuple(parameters), family)
+    return _product(left, right, _meet)
 
 
 def or_op(left: SoftSet, right: SoftSet) -> SoftSet:
     """Pairwise product with the join rule; columns in row-major pair order."""
-    _require_same_universe(left, right)
-    parameters = []
-    family = {}
-    for a in left.parameters:
-        ours = left.value_set(a)
-        for b in right.parameters:
-            theirs = right.value_set(b)
-            pair = CompoundParameter(a, b)
-            parameters.append(pair)
-            family[pair] = {e: _join(ours[e], theirs[e]) for e in left.universe}
-    return SoftSet(left.universe, tuple(parameters), family)
+    return _product(left, right, _join)
 
 
 def canonicalize(soft_set: SoftSet) -> SoftSet:
@@ -381,5 +433,5 @@ def canonicalize(soft_set: SoftSet) -> SoftSet:
     Makes order-insensitive identities (commutativity above all) literal
     structural equality.
     """
-    ordered = tuple(sorted(soft_set.parameters, key=lambda p: p.sort_key()))
-    return SoftSet(soft_set.universe, ordered, {p: soft_set.value_set(p) for p in ordered})
+    ordered = sorted(soft_set.parameters, key=lambda p: p.sort_key())
+    return SoftSet._of(soft_set.universe, {p: soft_set._family[p] for p in ordered})

@@ -17,7 +17,13 @@ from typing import Callable, Sequence
 
 from .algebra import SoftSet, and_op, complement, equals, intersection, is_subset, or_op, union
 from .decision import SelectionReport, select_best
-from .documents import load_reference_matrix, load_soft_set, render_table, serialize_soft_set
+from .documents import (
+    format_grid,
+    load_reference_matrix,
+    load_soft_set,
+    render_table,
+    serialize_soft_set,
+)
 from .errors import InssError
 from .oracle import oracle_matrix
 
@@ -44,15 +50,6 @@ def split_parameter_list(text: str) -> list[str]:
         current.append(char)
     parts.append("".join(current).strip())
     return [part for part in parts if part]
-
-
-def _grid(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    lines = [list(header)] + [list(row) for row in rows]
-    widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
-    return "\n".join(
-        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
-        for line in lines
-    )
 
 
 def _emit(soft_set: SoftSet, out: str | None) -> None:
@@ -100,14 +97,11 @@ def _decision_report(report: SelectionReport, audit: bool) -> str:
     sections = ["Decision table", render_table(report.table.soft_set), ""]
 
     header = ["U"] + [p.label for p in matrix.parameters]
-    rows = []
-    for i, object_id in enumerate(matrix.objects):
-        cells = [
-            f"{cell.value} = {cell.truth_wins}+{cell.indeterminacy_wins}-{cell.falsity_wins}"
-            for cell in matrix.audits[i]
-        ]
-        rows.append([object_id] + cells)
-    sections += ["Comparison matrix", _grid(header, rows), ""]
+    rows = [
+        [object_id] + [f"{t + i - f} = {t}+{i}-{f}" for t, i, f in zip(*wins)]
+        for object_id, *wins in zip(matrix.objects, *matrix._wins)
+    ]
+    sections += ["Comparison matrix", format_grid(header, rows), ""]
 
     width = max(len(o) for o in matrix.objects)
     sections.append("Scores")

@@ -10,13 +10,14 @@ how many it matches or beats in falsity (which counts against it):
 All three counts use >= against each other object, so ties count as wins.
 Row sums give the scores; the best object is the highest score, earliest
 universe position winning ties.  Per-column work is independent (columns
-could be computed in parallel); this implementation is sequential and sorts
-each column once, counting with bisection.
+could be computed in parallel); this implementation is sequential, reads the
+soft set's tick columns directly and sorts each one once.  The three win
+counts are kept as integer grids; CellAudit objects are built only when a
+caller reads ``ComparisonMatrix.audits``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -71,10 +72,7 @@ class DecisionTable:
         self._soft_set = soft_set.restrict(entries)
         self._objects = self._soft_set.universe
         self._parameters = self._soft_set.parameters
-        columns = [self._soft_set.value_set(p) for p in self._parameters]
-        self._rows = tuple(
-            tuple(column[element] for column in columns) for element in self._objects
-        )
+        self._rows = None
 
     @property
     def soft_set(self) -> SoftSet:
@@ -90,6 +88,11 @@ class DecisionTable:
 
     @property
     def rows(self) -> tuple[tuple[GradeTriple, ...], ...]:
+        if self._rows is None:
+            columns = [self._soft_set.value_set(p) for p in self._parameters]
+            self._rows = tuple(
+                tuple(column[element] for column in columns) for element in self._objects
+            )
         return self._rows
 
     def __repr__(self) -> str:
@@ -113,63 +116,117 @@ class CellAudit:
         return self.truth_wins + self.indeterminacy_wins - self.falsity_wins
 
 
-@dataclass(frozen=True)
+Grid = tuple  # rows indexed by object, one int per parameter
+
+
 class ComparisonMatrix:
     """Matrix of audit cells, rows indexed by object, columns by parameter."""
 
-    objects: tuple[str, ...]
-    parameters: tuple[ParamLike, ...]
-    audits: tuple[tuple[CellAudit, ...], ...]
+    __slots__ = ("_objects", "_parameters", "_wins", "_entries", "_audits")
+
+    def __init__(
+        self,
+        objects: tuple[str, ...],
+        parameters: tuple[ParamLike, ...],
+        audits: tuple[tuple[CellAudit, ...], ...],
+    ):
+        wins = tuple(
+            tuple(tuple(getattr(cell, name) for cell in row) for row in audits)
+            for name in ("truth_wins", "indeterminacy_wins", "falsity_wins")
+        )
+        self._set(objects, parameters, wins, audits)
+
+    @classmethod
+    def _of(cls, objects, parameters, wins: tuple[Grid, Grid, Grid]) -> "ComparisonMatrix":
+        """A matrix from its truth, indeterminacy and falsity win grids."""
+        self = cls.__new__(cls)
+        self._set(objects, parameters, wins, None)
+        return self
+
+    def _set(self, objects, parameters, wins, audits) -> None:
+        self._objects = objects
+        self._parameters = parameters
+        self._wins = wins
+        self._entries = tuple(
+            tuple(t + i - f for t, i, f in zip(*rows)) for rows in zip(*wins)
+        )
+        self._audits = audits
+
+    @property
+    def objects(self) -> tuple[str, ...]:
+        return self._objects
+
+    @property
+    def parameters(self) -> tuple[ParamLike, ...]:
+        return self._parameters
+
+    @property
+    def audits(self) -> tuple[tuple[CellAudit, ...], ...]:
+        if self._audits is None:
+            self._audits = tuple(
+                tuple(map(CellAudit, *rows)) for rows in zip(*self._wins)
+            )
+        return self._audits
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(cell.value for cell in row) for row in self.audits)
+        return self._entries
 
     def row(self, object_id: str) -> tuple[int, ...]:
         try:
-            index = self.objects.index(object_id)
+            index = self._objects.index(object_id)
         except ValueError:
             raise ValueError(f"unknown object '{object_id}'") from None
-        return tuple(cell.value for cell in self.audits[index])
+        return self._entries[index]
 
     @property
     def column_sums(self) -> tuple[int, ...]:
-        return tuple(
-            sum(row[j].value for row in self.audits) for j in range(len(self.parameters))
+        return tuple(map(sum, zip(*self._entries)))
+
+    def _key(self) -> tuple:
+        return (self._objects, self._parameters, self._wins)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"ComparisonMatrix(objects={self._objects!r}, "
+            f"parameters={self._parameters!r}, audits={self.audits!r})"
         )
+
+
+def _win_counts(column) -> list[int]:
+    """For each value, how many other values in the column are at or below it.
+
+    Mapping each value to its last position in sorted order gives exactly
+    that count.
+    """
+    last = dict(zip(sorted(column), range(len(column))))
+    return list(map(last.__getitem__, column))
 
 
 def comparison_matrix(table: DecisionTable) -> ComparisonMatrix:
     """Count wins per object and parameter.
 
-    For each column, each component's values are sorted once; an object's win
-    count is then the number of values at or below its own, self excluded.
+    Each component column is sorted once; an object's win count is the
+    number of values at or below its own, self excluded.
     """
     if not table.parameters:
         raise EmptyParameterSet("a decision needs at least one parameter")
     if not table.objects:
         raise EmptyUniverse("a decision needs at least one object")
-    count = len(table.objects)
-    columns = []
-    for j in range(len(table.parameters)):
-        truths = [table.rows[i][j].truth.ten_thousandths for i in range(count)]
-        indets = [table.rows[i][j].indeterminacy.ten_thousandths for i in range(count)]
-        falsities = [table.rows[i][j].falsity.ten_thousandths for i in range(count)]
-        sorted_truths = sorted(truths)
-        sorted_indets = sorted(indets)
-        sorted_falsities = sorted(falsities)
-        columns.append(
-            [
-                CellAudit(
-                    bisect_right(sorted_truths, truths[i]) - 1,
-                    bisect_right(sorted_indets, indets[i]) - 1,
-                    bisect_right(sorted_falsities, falsities[i]) - 1,
-                )
-                for i in range(count)
-            ]
-        )
-    audits = tuple(tuple(columns[j][i] for j in range(len(columns))) for i in range(count))
-    return ComparisonMatrix(table.objects, table.parameters, audits)
+    per_component = ([], [], [])
+    for param in table.parameters:
+        for counts, column in zip(per_component, table.soft_set.value_set(param)._columns):
+            counts.append(_win_counts(column))
+    wins = tuple(tuple(zip(*columns)) for columns in per_component)
+    return ComparisonMatrix._of(table.objects, table.parameters, wins)
 
 
 @dataclass(frozen=True)
@@ -183,7 +240,7 @@ class ScoreVector:
 
 def scores(matrix: ComparisonMatrix) -> ScoreVector:
     """Sum each object's row; rank by descending score, earliest object first on ties."""
-    totals = tuple(sum(cell.value for cell in row) for row in matrix.audits)
+    totals = tuple(map(sum, matrix.entries))
     order = sorted(range(len(totals)), key=lambda i: (-totals[i], i))
     return ScoreVector(matrix.objects, totals, tuple(matrix.objects[i] for i in order))
 
@@ -247,8 +304,7 @@ class SelectionReport:
             "parameters": [p.label for p in self.matrix.parameters],
             "matrix": [list(row) for row in self.matrix.entries],
             "audits": [
-                [[c.truth_wins, c.indeterminacy_wins, c.falsity_wins] for c in row]
-                for row in self.matrix.audits
+                [list(cell) for cell in zip(*rows)] for rows in zip(*self.matrix._wins)
             ],
             "scores": list(self.scores.scores),
             "ranking": list(self.scores.ranking),

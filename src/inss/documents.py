@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .algebra import CompoundParameter, ParamLike, Parameter, SoftSet
+from .algebra import CompoundParameter, InsSet, ParamLike, Parameter, SoftSet
 from .decision import ReferenceMatrix
 from .errors import (
     ConstraintViolation,
@@ -42,7 +42,7 @@ from .errors import (
     ParseError,
     PrecisionLoss,
 )
-from .grades import COMPONENTS, Grade, GradeTriple
+from .grades import COMPONENTS, GRADE_SCALE, Grade, first_violation, tick_texts
 
 __all__ = [
     "FORMAT_VERSION",
@@ -108,6 +108,72 @@ def _param_to_spec(param: ParamLike) -> dict:
     return {"left": _param_to_spec(param.left), "right": _param_to_spec(param.right)}
 
 
+def _plain_ticks(text: str) -> int | None:
+    """Ticks for "0", "1" or "0." plus one to four ASCII digits; None for any
+    other spelling, which is left to Grade.parse."""
+    if text == "0" or text == "1":
+        return GRADE_SCALE * int(text)
+    digits = text[2:]
+    if text[:2] == "0." and 0 < len(digits) <= 4 and digits.isascii() and digits.isdigit():
+        return int(digits.ljust(4, "0"))
+    return None
+
+
+def _grade_ticks(raw: object, component: str, where: str, parsed: dict[str, int]) -> int:
+    """One grade as ticks, remembering plain decimal texts in ``parsed``."""
+    if isinstance(raw, str):
+        value = parsed.get(raw)
+        if value is None:
+            value = _plain_ticks(raw)
+        if value is not None:
+            parsed[raw] = value
+            return value
+    try:
+        return Grade.parse(raw, component).ten_thousandths
+    except (OutOfRange, PrecisionLoss, ParseError) as err:
+        raise type(err)(f"{where}: {err}") from None
+
+
+def _value_set(
+    label: str, cells: dict, universe: tuple[str, ...], parsed: dict[str, int], check_grades: bool
+) -> InsSet:
+    """Translate one parameter's grades into tick columns.
+
+    Errors come in reading order: cells in universe order, and within a cell
+    its grades before its joint bounds.
+    """
+    columns = ([], [], [])
+    truth, indeterminacy, falsity = (column.append for column in columns)
+    known = parsed.get
+    try:
+        for element in universe:
+            if element not in cells:
+                raise ParseError(f"grades['{label}']: missing element '{element}'")
+            cell = cells[element]
+            if not isinstance(cell, list) or len(cell) != 3:
+                raise ParseError(f"grades['{label}']['{element}']: expected [truth, indeterminacy, falsity]")
+            try:
+                # Texts seen before are known grades; anything else is parsed.
+                t, i, f = known(cell[0]), known(cell[1]), known(cell[2])
+            except TypeError:  # an unhashable grade, for Grade.parse to reject
+                t = None
+            if t is None or i is None or f is None:
+                where = f"grades['{label}']['{element}']"
+                t, i, f = (
+                    _grade_ticks(raw, component, where, parsed) for raw, component in zip(cell, COMPONENTS)
+                )
+            truth(t)
+            indeterminacy(i)
+            falsity(f)
+    finally:
+        # Also on the way out of an error, so a bad cell before it wins.
+        problem = first_violation(*columns)
+        if check_grades and problem is not None:
+            position, message = problem
+            raise ConstraintViolation(f"grades['{label}']['{universe[position]}']: {message}") from None
+    return InsSet._of(universe, columns, problem is None)
+
+
 def load_soft_set(source: str | Path, *, check_grades: bool = True) -> SoftSet:
     """Load a soft-set document.
 
@@ -126,92 +192,105 @@ def load_soft_set(source: str | Path, *, check_grades: bool = True) -> SoftSet:
     universe_raw = doc["universe"]
     if not isinstance(universe_raw, list):
         raise ParseError("universe: must be a list of element ids")
-    universe: list[str] = []
+    elements: set[str] = set()
     for index, element in enumerate(universe_raw):
         if not isinstance(element, str) or not element:
             raise ParseError(f"universe[{index}]: must be a non-empty string")
-        if element in universe:
+        if element in elements:
             raise DuplicateElement(f"universe[{index}]: duplicate element id '{element}'")
-        universe.append(element)
+        elements.add(element)
+    universe = tuple(universe_raw)
 
     params_raw = doc["parameters"]
     if not isinstance(params_raw, list):
         raise ParseError("parameters: must be a list")
-    parameters: list[ParamLike] = []
-    labels: list[str] = []
+    by_label: dict[str, ParamLike] = {}
     for index, spec in enumerate(params_raw):
         param = _param_from_spec(spec, f"parameters[{index}]")
-        if param in parameters:
-            raise DuplicateParameter(f"parameters[{index}]: duplicate parameter '{param.label}'")
-        if param.label in labels:
+        label = param.label
+        if by_label.get(label) == param:
+            raise DuplicateParameter(f"parameters[{index}]: duplicate parameter '{label}'")
+        if label in by_label:
             raise DuplicateParameter(
-                f"parameters[{index}]: label '{param.label}' already used by another parameter"
+                f"parameters[{index}]: label '{label}' already used by another parameter"
             )
-        parameters.append(param)
-        labels.append(param.label)
+        by_label[label] = param
 
     grades_raw = doc["grades"]
     if not isinstance(grades_raw, dict):
         raise ParseError("grades: must be an object keyed by parameter label")
-    known = set(labels)
     for key in grades_raw:
-        if key not in known:
+        if key not in by_label:
             raise ParseError(f"grades: unknown parameter '{key}'")
     family = {}
-    for param, label in zip(parameters, labels):
+    parsed: dict[str, int] = {}
+    for label, param in by_label.items():
         if label not in grades_raw:
             raise ParseError(f"grades: missing entry for parameter '{label}'")
         cells = grades_raw[label]
         if not isinstance(cells, dict):
             raise ParseError(f"grades['{label}']: must be an object keyed by element id")
         for key in cells:
-            if key not in universe:
+            if key not in elements:
                 raise ParseError(f"grades['{label}']: unknown element '{key}'")
-        value_set = {}
-        for element in universe:
-            if element not in cells:
-                raise ParseError(f"grades['{label}']: missing element '{element}'")
-            cell = cells[element]
-            where = f"grades['{label}']['{element}']"
-            if not isinstance(cell, list) or len(cell) != 3:
-                raise ParseError(f"{where}: expected [truth, indeterminacy, falsity]")
-            try:
-                triple_grades = [
-                    Grade.parse(raw, component) for raw, component in zip(cell, COMPONENTS)
-                ]
-            except (OutOfRange, PrecisionLoss, ParseError) as err:
-                raise type(err)(f"{where}: {err}") from None
-            if check_grades:
-                try:
-                    value_set[element] = GradeTriple(*triple_grades)
-                except ConstraintViolation as err:
-                    raise ConstraintViolation(f"{where}: {err}") from None
-            else:
-                value_set[element] = GradeTriple.unchecked(*triple_grades)
-        family[param] = value_set
+        family[param] = _value_set(label, cells, universe, parsed, check_grades)
 
-    return SoftSet(universe, parameters, family)
+    return SoftSet._of(universe, family)
 
 
 def soft_set_to_document(soft_set: SoftSet) -> dict:
     """The plain-dict document form of a soft set."""
+    tick_text = tick_texts()
     return {
         "format_version": FORMAT_VERSION,
         "universe": list(soft_set.universe),
         "parameters": [_param_to_spec(p) for p in soft_set.parameters],
         "grades": {
             param.label: {
-                element: [grade.text for grade in triple.components()]
-                for element, triple in soft_set.value_set(param).items()
+                element: [tick_text(t), tick_text(i), tick_text(f)]
+                for element, t, i, f in zip(soft_set.universe, *soft_set.value_set(param)._columns)
             }
             for param in soft_set.parameters
         },
     }
 
 
+def _nested_json(value: object) -> str:
+    """``value`` in the canonical JSON style, laid out one level deep."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
 def serialize_soft_set(soft_set: SoftSet) -> str:
-    """Canonical document text: stable byte-for-byte across runs."""
-    return json.dumps(soft_set_to_document(soft_set), indent=2, sort_keys=True) + "\n"
+    """Canonical document text: stable byte-for-byte across runs.
+
+    The text is ``json.dumps(soft_set_to_document(soft_set), indent=2,
+    sort_keys=True)`` plus a newline.  The grades, nearly all of it, are
+    written straight from the tick columns in that layout.
+    """
+    quote = json.encoder.encode_basestring_ascii
+    tick_text = tick_texts()
+    universe = soft_set.universe
+    keys = [quote(element) for element in universe]
+    order = sorted(range(len(universe)), key=universe.__getitem__)
+    by_label = {p.label: p for p in soft_set.parameters}
+    blocks = []
+    for label in sorted(by_label):
+        t, i, f = soft_set.value_set(by_label[label])._columns
+        cells = ",\n".join(
+            f'      {keys[k]}: [\n        "{tick_text(t[k])}",\n        "{tick_text(i[k])}",\n'
+            f'        "{tick_text(f[k])}"\n      ]'
+            for k in order
+        )
+        blocks.append(f"    {quote(label)}: " + (f"{{\n{cells}\n    }}" if cells else "{}"))
+    grades = "{\n" + ",\n".join(blocks) + "\n  }" if blocks else "{}"
+    return (
+        "{\n"
+        f'  "format_version": {FORMAT_VERSION},\n'
+        f'  "grades": {grades},\n'
+        f'  "parameters": {_nested_json([_param_to_spec(p) for p in soft_set.parameters])},\n'
+        f'  "universe": {_nested_json(list(universe))}\n'
+        "}\n"
+    )
 
 
 def save_soft_set(soft_set: SoftSet, target: str | Path) -> None:
@@ -245,6 +324,13 @@ def load_reference_matrix(source: str | Path) -> ReferenceMatrix:
     return ReferenceMatrix(tuple(objects), tuple(labels), tuple(rows))
 
 
+def format_grid(header: list[str], rows: list[list[str]]) -> str:
+    """Left-aligned columns two spaces apart, no trailing spaces."""
+    lines = [header] + rows
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "\n".join("  ".join(map(str.ljust, line, widths)).rstrip() for line in lines)
+
+
 def render_table(soft_set: SoftSet) -> str:
     """Fixed-width text table: one row per element, one column per parameter.
 
@@ -253,13 +339,12 @@ def render_table(soft_set: SoftSet) -> str:
     header = ["U"] + [p.label for p in soft_set.parameters]
     if not soft_set.parameters:
         return header[0]
-    rows = [
-        [element] + [str(soft_set.value_set(p)[element]) for p in soft_set.parameters]
-        for element in soft_set.universe
+    tick_text = tick_texts()
+    columns = [
+        [
+            f"({tick_text(t)}, {tick_text(i)}, {tick_text(f)})"
+            for t, i, f in zip(*soft_set.value_set(p)._columns)
+        ]
+        for p in soft_set.parameters
     ]
-    widths = [max(len(line[i]) for line in [header] + rows) for i in range(len(header))]
-    lines = [
-        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
-        for line in [header] + rows
-    ]
-    return "\n".join(lines)
+    return format_grid(header, [[element, *cells] for element, *cells in zip(soft_set.universe, *columns)])

@@ -12,12 +12,21 @@ joint validity bounds at construction time:
 * truth + indeterminacy + falsity <= 2
 
 so any triple you can get your hands on is already valid (the one documented
-escape hatch is :meth:`GradeTriple.unchecked`).
+escape hatch is :meth:`GradeTriple.unchecked`).  The first three bounds fail
+exactly when two components exceed one half, and they already cap the sum at
+2.
+
+The soft-set core does not hold these objects: it keeps each value set as
+three aligned columns of tick counts and checks them in bulk with
+:func:`first_violation`.  :func:`triples_from_ticks` builds the public objects
+from ticks when a caller asks for a cell.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
@@ -106,22 +115,23 @@ class Grade:
         return self.text
 
 
-def _first_violation(truth: Grade, indeterminacy: Grade, falsity: Grade) -> str | None:
-    t = truth.ten_thousandths
-    i = indeterminacy.ten_thousandths
-    f = falsity.ten_thousandths
-    for name_a, a, name_b, b in (
-        ("truth", t, "falsity", f),
-        ("truth", t, "indeterminacy", i),
-        ("falsity", f, "indeterminacy", i),
-    ):
-        low = a if a <= b else b
-        if low > _HALF:
-            return f"min({name_a}, {name_b}) = {_format_ticks(low)} exceeds 0.5"
-    # The bound checks above already cap the sum at 2 (at most one component
-    # can exceed 0.5), so this only fires on hand-built unchecked data.
-    if t + i + f > _SUM_CAP:
-        return f"truth + indeterminacy + falsity = {_format_ticks(t + i + f)} exceeds 2"
+def _violation(t: int, i: int, f: int) -> str | None:
+    """The first joint bound a triple of tick counts breaks, as a message."""
+    if t > _HALF and f > _HALF:
+        return f"min(truth, falsity) = {_format_ticks(min(t, f))} exceeds 0.5"
+    if t > _HALF and i > _HALF:
+        return f"min(truth, indeterminacy) = {_format_ticks(min(t, i))} exceeds 0.5"
+    if f > _HALF and i > _HALF:
+        return f"min(falsity, indeterminacy) = {_format_ticks(min(f, i))} exceeds 0.5"
+    return None
+
+
+def first_violation(truth, indeterminacy, falsity) -> tuple[int, str] | None:
+    """Position and message of the first cell in three aligned tick columns
+    that breaks a joint bound, or None when every cell is valid."""
+    for position, (t, i, f) in enumerate(zip(truth, indeterminacy, falsity)):
+        if (t > _HALF) + (i > _HALF) + (f > _HALF) > 1:
+            return position, _violation(t, i, f)
     return None
 
 
@@ -139,7 +149,11 @@ class GradeTriple:
     falsity: Grade
 
     def __post_init__(self) -> None:
-        problem = _first_violation(self.truth, self.indeterminacy, self.falsity)
+        problem = _violation(
+            self.truth.ten_thousandths,
+            self.indeterminacy.ten_thousandths,
+            self.falsity.ten_thousandths,
+        )
         if problem is not None:
             raise ConstraintViolation(problem)
 
@@ -182,3 +196,31 @@ def validate_triple(truth: object, indeterminacy: object, falsity: object) -> Gr
 def complement_triple(triple: GradeTriple) -> GradeTriple:
     """Swap truth and falsity; indeterminacy stays put."""
     return GradeTriple(triple.falsity, triple.indeterminacy, triple.truth)
+
+
+# One shared Grade per tick count, made when a count first comes up.
+shared_grade = functools.cache(Grade)
+
+
+def tick_texts() -> Callable[[int], str]:
+    """A fresh text-by-ticks lookup that formats each count once; one per document."""
+    return functools.cache(_format_ticks)
+
+
+def triples_from_ticks(elements, truth, indeterminacy, falsity) -> dict[str, GradeTriple]:
+    """The triples of three aligned tick columns, keyed by element.
+
+    The counts are already grades and the columns were checked (or loaded
+    unchecked on purpose) as a whole, so the bounds are not checked again.
+    """
+    new = object.__new__
+    grade = shared_grade
+    triples = {}
+    for element, t, i, f in zip(elements, truth, indeterminacy, falsity):
+        triple = new(GradeTriple)
+        fields = triple.__dict__
+        fields["truth"] = grade(t)
+        fields["indeterminacy"] = grade(i)
+        fields["falsity"] = grade(f)
+        triples[element] = triple
+    return triples

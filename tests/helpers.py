@@ -3,19 +3,22 @@
 The random generators draw grades from the one-decimal grid so equal
 components (the tie cases) come up constantly, and they reject triples that
 break the validity bounds rather than clamping, so the sampled distribution
-stays honest.
+stays honest.  The ``fine_*`` generators do the same on the four-decimal
+grid and over universes of hundreds of elements.
 """
 
 import random
 from pathlib import Path
 
-from inss import Grade, GradeTriple, Parameter, SoftSet
+from inss import GRADE_SCALE, Grade, GradeTriple, Parameter, SoftSet
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 PARAM_POOL = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 
 ONE_DECIMAL = tuple(k * 1000 for k in range(11))
+
+FOUR_DECIMAL = tuple(range(GRADE_SCALE + 1))
 
 
 def fixture(name: str) -> Path:
@@ -71,3 +74,20 @@ def shared_params_trio(rng: random.Random, max_elements: int = 6, max_parameters
         rng.shuffle(shuffled)
         sets.append(soft_set_over(rng, universe, [Parameter(n) for n in shuffled]))
     return tuple(sets)
+
+
+def fine_triple(rng: random.Random, pool=FOUR_DECIMAL) -> GradeTriple:
+    while True:
+        t, i, f = rng.choice(pool), rng.choice(pool), rng.choice(pool)
+        if min(t, f) <= 5000 and min(t, i) <= 5000 and min(f, i) <= 5000:
+            return GradeTriple(Grade(t), Grade(i), Grade(f))
+
+
+def large_universe(rng: random.Random, min_elements: int = 100, max_elements: int = 400) -> list[str]:
+    return [f"e{k}" for k in range(1, rng.randint(min_elements, max_elements) + 1)]
+
+
+def fine_soft_set(rng: random.Random, universe, parameters, pool=FOUR_DECIMAL) -> SoftSet:
+    """Grades from ``pool``; pass a small sample of FOUR_DECIMAL to get ties."""
+    family = {p: {e: fine_triple(rng, pool) for e in universe} for p in parameters}
+    return SoftSet(universe, parameters, family)
