@@ -187,11 +187,33 @@ class InsSet(Mapping):
         return f"InsSet({self._triples()!r})"
 
 
-def _add_label(by_label: dict[str, ParamLike], param: ParamLike) -> None:
-    label = param.label
-    if label in by_label:
-        raise DuplicateParameter(f"parameters {by_label[label]!r} and {param!r} share label '{label}'")
-    by_label[label] = param
+def checked_universe(elements: Iterable) -> tuple[str, ...]:
+    """The element ids as a universe: distinct non-empty strings, in order."""
+    universe = tuple(elements)
+    seen: set[str] = set()
+    for index, element in enumerate(universe):
+        if not isinstance(element, str) or not element:
+            raise ValueError(f"universe[{index}]: element id must be a non-empty string, got {element!r}")
+        if element in seen:
+            raise DuplicateElement(f"universe[{index}]: duplicate element id '{element}'")
+        seen.add(element)
+    return universe
+
+
+def label_index(parameters: Iterable[ParamLike]) -> dict[str, ParamLike]:
+    """Parameters by display label, in order; no parameter or label may repeat."""
+    by_label: dict[str, ParamLike] = {}
+    for index, param in enumerate(parameters):
+        if not isinstance(param, (Parameter, CompoundParameter)):
+            raise TypeError(f"not a parameter: {param!r}")
+        label = param.label
+        if label in by_label:
+            known = by_label[label]
+            if known == param:
+                raise DuplicateParameter(f"parameters[{index}]: duplicate parameter '{label}'")
+            raise DuplicateParameter(f"parameters[{index}]: {known!r} and {param!r} share label '{label}'")
+        by_label[label] = param
+    return by_label
 
 
 class SoftSet:
@@ -205,30 +227,13 @@ class SoftSet:
         parameters: Sequence[ParamLike],
         family: Mapping[ParamLike, Mapping[str, GradeTriple]],
     ):
-        self._universe = tuple(universe)
-        seen_elements = set()
-        for element in self._universe:
-            if not isinstance(element, str) or not element:
-                raise ValueError(f"element id must be a non-empty string, got {element!r}")
-            if element in seen_elements:
-                raise DuplicateElement(f"duplicate element id '{element}'")
-            seen_elements.add(element)
-
+        self._universe = checked_universe(universe)
         self._parameters = tuple(parameters)
-        seen_params: set[ParamLike] = set()
-        self._by_label: dict[str, ParamLike] = {}
-        for param in self._parameters:
-            if not isinstance(param, (Parameter, CompoundParameter)):
-                raise TypeError(f"not a parameter: {param!r}")
-            if param in seen_params:
-                raise DuplicateParameter(f"duplicate parameter '{param.label}'")
-            _add_label(self._by_label, param)
-            seen_params.add(param)
-
-        given = set(family)
-        if given != seen_params:
-            missing = sorted(p.label for p in seen_params - given)
-            extra = sorted(p.label for p in given - seen_params)
+        self._by_label = label_index(self._parameters)
+        declared, given = set(self._parameters), set(family)
+        if given != declared:
+            missing = sorted(p.label for p in declared - given)
+            extra = sorted(p.label for p in given - declared)
             parts = []
             if missing:
                 parts.append(f"missing value sets for {missing}")
@@ -249,16 +254,13 @@ class SoftSet:
         self._family = built
 
     @classmethod
-    def _of(cls, universe: tuple[str, ...], family: dict[ParamLike, InsSet]) -> "SoftSet":
-        """Wrap value sets over ``universe`` whose parameters (the keys, in
-        order) are already known to be distinct; only their labels are checked."""
+    def _of(cls, universe: tuple[str, ...], parameters: tuple[ParamLike, ...], family: dict) -> "SoftSet":
+        """Value sets over a checked ``universe``, one per parameter; only the parameters are checked."""
         self = cls.__new__(cls)
         self._universe = universe
-        self._parameters = tuple(family)
+        self._parameters = parameters
         self._family = family
-        self._by_label = {}
-        for param in self._parameters:
-            _add_label(self._by_label, param)
+        self._by_label = label_index(parameters)
         return self
 
     @property
@@ -297,7 +299,7 @@ class SoftSet:
         for param in parameters:
             if param not in self._family:
                 raise UnknownParameter(f"unknown parameter '{param.label}'")
-        return SoftSet(self._universe, tuple(parameters), {p: self._family[p] for p in parameters})
+        return SoftSet._of(self._universe, tuple(parameters), {p: self._family[p] for p in parameters})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SoftSet):
@@ -372,7 +374,7 @@ def complement(soft_set: SoftSet) -> SoftSet:
     for param, value_set in soft_set._family.items():
         truth, indeterminacy, falsity = value_set._columns
         family[param.negate()] = _result(soft_set.universe, (falsity, indeterminacy, truth), value_set._valid)
-    return SoftSet._of(soft_set.universe, family)
+    return SoftSet._of(soft_set.universe, tuple(family), family)
 
 
 def is_null(soft_set: SoftSet) -> bool:
@@ -392,7 +394,7 @@ def union(left: SoftSet, right: SoftSet) -> SoftSet:
         family[param] = ours if theirs is None else _combine(ours, theirs, _join)
     for param, theirs in right._family.items():
         family.setdefault(param, theirs)
-    return SoftSet._of(left.universe, family)
+    return SoftSet._of(left.universe, tuple(family), family)
 
 
 def intersection(left: SoftSet, right: SoftSet) -> SoftSet:
@@ -405,7 +407,7 @@ def intersection(left: SoftSet, right: SoftSet) -> SoftSet:
     }
     if not family:
         raise EmptyParameterIntersection("the parameter sets share no member")
-    return SoftSet._of(left.universe, family)
+    return SoftSet._of(left.universe, tuple(family), family)
 
 
 def _product(left: SoftSet, right: SoftSet, rule) -> SoftSet:
@@ -414,7 +416,7 @@ def _product(left: SoftSet, right: SoftSet, rule) -> SoftSet:
     for a, ours in left._family.items():
         for b, theirs in right._family.items():
             family[CompoundParameter(a, b)] = _combine(ours, theirs, rule)
-    return SoftSet._of(left.universe, family)
+    return SoftSet._of(left.universe, tuple(family), family)
 
 
 def and_op(left: SoftSet, right: SoftSet) -> SoftSet:
@@ -434,4 +436,4 @@ def canonicalize(soft_set: SoftSet) -> SoftSet:
     structural equality.
     """
     ordered = sorted(soft_set.parameters, key=lambda p: p.sort_key())
-    return SoftSet._of(soft_set.universe, {p: soft_set._family[p] for p in ordered})
+    return SoftSet._of(soft_set.universe, tuple(ordered), {p: soft_set._family[p] for p in ordered})

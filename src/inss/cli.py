@@ -142,7 +142,7 @@ def _decision_report(report: SelectionReport, audit: bool) -> str:
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     soft_set = load_soft_set(args.file)
-    choice = split_parameter_list(args.params) if args.params else None
+    choice = None if args.params is None else split_parameter_list(args.params)
     reference = (
         load_reference_matrix(args.reference_matrix) if args.reference_matrix else None
     )
@@ -222,6 +222,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except InssError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
+    except RecursionError:  # parameters nested deeper than an operation can follow
+        print("error: parameters nested too deeply", file=sys.stderr)
         return 1
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)

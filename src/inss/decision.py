@@ -22,12 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .algebra import CompoundParameter, ParamLike, Parameter, SoftSet
-from .errors import (
-    EmptyParameterSet,
-    EmptyUniverse,
-    ReferenceMismatch,
-    UnknownParameter,
-)
+from .errors import EmptyParameterSet, EmptyUniverse, ReferenceMismatch
 from .grades import GradeTriple
 
 __all__ = [
@@ -45,16 +40,14 @@ __all__ = [
 
 
 def _resolve_choice(soft_set: SoftSet, choice: Sequence[ParamLike | str]) -> tuple[ParamLike, ...]:
+    """The chosen parameters, with labels looked up; membership is for ``restrict``."""
     resolved = []
     for entry in choice:
         if isinstance(entry, str):
-            resolved.append(soft_set.find_parameter(entry))
-        elif isinstance(entry, (Parameter, CompoundParameter)):
-            if not soft_set.has_parameter(entry):
-                raise UnknownParameter(f"unknown parameter '{entry.label}'")
-            resolved.append(entry)
-        else:
+            entry = soft_set.find_parameter(entry)
+        elif not isinstance(entry, (Parameter, CompoundParameter)):
             raise TypeError(f"not a parameter or label: {entry!r}")
+        resolved.append(entry)
     return tuple(resolved)
 
 
@@ -217,10 +210,6 @@ def comparison_matrix(table: DecisionTable) -> ComparisonMatrix:
     Each component column is sorted once; an object's win count is the
     number of values at or below its own, self excluded.
     """
-    if not table.parameters:
-        raise EmptyParameterSet("a decision needs at least one parameter")
-    if not table.objects:
-        raise EmptyUniverse("a decision needs at least one object")
     per_component = ([], [], [])
     for param in table.parameters:
         for counts, column in zip(per_component, table.soft_set.value_set(param)._columns):

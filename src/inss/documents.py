@@ -32,17 +32,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .algebra import CompoundParameter, InsSet, ParamLike, Parameter, SoftSet
+from .algebra import CompoundParameter, InsSet, ParamLike, Parameter, SoftSet, checked_universe, label_index
 from .decision import ReferenceMatrix
-from .errors import (
-    ConstraintViolation,
-    DuplicateElement,
-    DuplicateParameter,
-    OutOfRange,
-    ParseError,
-    PrecisionLoss,
-)
-from .grades import COMPONENTS, GRADE_SCALE, Grade, first_violation, tick_texts
+from .errors import ConstraintViolation, OutOfRange, ParseError, PrecisionLoss
+from .grades import COMPONENTS, first_violation, grade_ticks, tick_texts
 
 __all__ = [
     "FORMAT_VERSION",
@@ -58,26 +51,40 @@ FORMAT_VERSION = 1
 
 
 def _read_json(source: str | Path) -> object:
-    text = Path(source).read_text(encoding="utf-8")
+    """The JSON value in a UTF-8 file (other bytes are an OSError); no object may repeat a key."""
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set[str] = set()
+            key = next(key for key, _ in pairs if key in seen or seen.add(key))
+            raise ParseError(f"{source}: duplicate key {key!r}")
+        return obj
+
     try:
-        return json.loads(text)
+        text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise OSError(f"{source}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise ParseError(
             f"{source}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
+    except RecursionError:
+        raise ParseError(f"{source}: JSON nested too deeply") from None
 
 
-def _expect_keys(obj: dict, required: set[str], where: str) -> None:
-    missing = sorted(required - set(obj))
-    extra = sorted(set(obj) - required)
+def _check_document(doc: object, required: set[str], where: str) -> None:
+    """A document is an object with exactly the ``required`` keys, at this format version."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: document must be a JSON object")
+    missing = sorted(required - set(doc))
+    extra = sorted(set(doc) - required)
     if missing:
         raise ParseError(f"{where}: missing key(s) {missing}")
     if extra:
         raise ParseError(f"{where}: unexpected key(s) {extra}")
-
-
-def _check_version(doc: dict, where: str) -> None:
-    version = doc.get("format_version")
+    version = doc["format_version"]
     if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ParseError(f"{where}: unsupported format_version {version!r}")
 
@@ -108,30 +115,15 @@ def _param_to_spec(param: ParamLike) -> dict:
     return {"left": _param_to_spec(param.left), "right": _param_to_spec(param.right)}
 
 
-def _plain_ticks(text: str) -> int | None:
-    """Ticks for "0", "1" or "0." plus one to four ASCII digits; None for any
-    other spelling, which is left to Grade.parse."""
-    if text == "0" or text == "1":
-        return GRADE_SCALE * int(text)
-    digits = text[2:]
-    if text[:2] == "0." and 0 < len(digits) <= 4 and digits.isascii() and digits.isdigit():
-        return int(digits.ljust(4, "0"))
-    return None
-
-
 def _grade_ticks(raw: object, component: str, where: str, parsed: dict[str, int]) -> int:
-    """One grade as ticks, remembering plain decimal texts in ``parsed``."""
-    if isinstance(raw, str):
-        value = parsed.get(raw)
-        if value is None:
-            value = _plain_ticks(raw)
-        if value is not None:
-            parsed[raw] = value
-            return value
+    """One grade as ticks, remembering the ticks of each grade text in ``parsed``."""
     try:
-        return Grade.parse(raw, component).ten_thousandths
+        value = grade_ticks(raw, component)
     except (OutOfRange, PrecisionLoss, ParseError) as err:
         raise type(err)(f"{where}: {err}") from None
+    if isinstance(raw, str):  # only text keys: JSON true would hit a key 1
+        parsed[raw] = value
+    return value
 
 
 def _value_set(
@@ -153,14 +145,15 @@ def _value_set(
             if not isinstance(cell, list) or len(cell) != 3:
                 raise ParseError(f"grades['{label}']['{element}']: expected [truth, indeterminacy, falsity]")
             try:
-                # Texts seen before are known grades; anything else is parsed.
+                # Texts seen before are known grades; only the others are parsed.
                 t, i, f = known(cell[0]), known(cell[1]), known(cell[2])
-            except TypeError:  # an unhashable grade, for Grade.parse to reject
-                t = None
+            except TypeError:  # an unhashable grade, for grade_ticks to reject
+                t = i = f = None
             if t is None or i is None or f is None:
                 where = f"grades['{label}']['{element}']"
                 t, i, f = (
-                    _grade_ticks(raw, component, where, parsed) for raw, component in zip(cell, COMPONENTS)
+                    _grade_ticks(raw, component, where, parsed) if ticks is None else ticks
+                    for ticks, raw, component in zip((t, i, f), cell, COMPONENTS)
                 )
             truth(t)
             indeterminacy(i)
@@ -184,37 +177,28 @@ def load_soft_set(source: str | Path, *, check_grades: bool = True) -> SoftSet:
     still parsed strictly.
     """
     doc = _read_json(source)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{source}: document must be a JSON object")
-    _expect_keys(doc, {"format_version", "universe", "parameters", "grades"}, str(source))
-    _check_version(doc, str(source))
+    try:
+        return _soft_set(doc, str(source), check_grades)
+    except RecursionError:
+        raise ParseError(f"{source}: parameters nested too deeply") from None
+
+
+def _soft_set(doc: object, source: str, check_grades: bool) -> SoftSet:
+    _check_document(doc, {"format_version", "universe", "parameters", "grades"}, source)
 
     universe_raw = doc["universe"]
     if not isinstance(universe_raw, list):
         raise ParseError("universe: must be a list of element ids")
-    elements: set[str] = set()
-    for index, element in enumerate(universe_raw):
-        if not isinstance(element, str) or not element:
-            raise ParseError(f"universe[{index}]: must be a non-empty string")
-        if element in elements:
-            raise DuplicateElement(f"universe[{index}]: duplicate element id '{element}'")
-        elements.add(element)
-    universe = tuple(universe_raw)
+    try:
+        universe = checked_universe(universe_raw)
+    except ValueError as err:
+        raise ParseError(str(err)) from None
+    elements = set(universe)
 
     params_raw = doc["parameters"]
     if not isinstance(params_raw, list):
         raise ParseError("parameters: must be a list")
-    by_label: dict[str, ParamLike] = {}
-    for index, spec in enumerate(params_raw):
-        param = _param_from_spec(spec, f"parameters[{index}]")
-        label = param.label
-        if by_label.get(label) == param:
-            raise DuplicateParameter(f"parameters[{index}]: duplicate parameter '{label}'")
-        if label in by_label:
-            raise DuplicateParameter(
-                f"parameters[{index}]: label '{label}' already used by another parameter"
-            )
-        by_label[label] = param
+    by_label = label_index(_param_from_spec(spec, f"parameters[{i}]") for i, spec in enumerate(params_raw))
 
     grades_raw = doc["grades"]
     if not isinstance(grades_raw, dict):
@@ -235,7 +219,7 @@ def load_soft_set(source: str | Path, *, check_grades: bool = True) -> SoftSet:
                 raise ParseError(f"grades['{label}']: unknown element '{key}'")
         family[param] = _value_set(label, cells, universe, parsed, check_grades)
 
-    return SoftSet._of(universe, family)
+    return SoftSet._of(universe, tuple(family), family)
 
 
 def soft_set_to_document(soft_set: SoftSet) -> dict:
@@ -300,10 +284,7 @@ def save_soft_set(soft_set: SoftSet, target: str | Path) -> None:
 def load_reference_matrix(source: str | Path) -> ReferenceMatrix:
     """Load a reference comparison matrix (integer entries, labelled axes)."""
     doc = _read_json(source)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{source}: document must be a JSON object")
-    _expect_keys(doc, {"format_version", "objects", "parameters", "entries"}, str(source))
-    _check_version(doc, str(source))
+    _check_document(doc, {"format_version", "objects", "parameters", "entries"}, str(source))
     objects = doc["objects"]
     labels = doc["parameters"]
     entries = doc["entries"]

@@ -25,7 +25,6 @@ from ticks when a caller asks for a cell.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -71,40 +70,10 @@ class Grade:
 
     @classmethod
     def parse(cls, value: object, what: str = "grade") -> "Grade":
-        """Read a grade from text, an int, a float, or a Decimal.
-
-        Rejects values outside [0, 1] (OutOfRange), values that do not sit on
-        the 1/10000 grid (PrecisionLoss), and non-numeric input (ParseError).
-        ``what`` names the value in error messages.
-        """
+        """Read a grade from text, an int, a float, or a Decimal (see :func:`grade_ticks`)."""
         if isinstance(value, Grade):
             return value
-        if isinstance(value, bool) or value is None:
-            raise ParseError(f"{what} {value!r} is not a decimal number")
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise ParseError(f"{what} {value!r} is not a decimal number")
-            dec = Decimal(str(value))
-        elif isinstance(value, int):
-            dec = Decimal(value)
-        elif isinstance(value, Decimal):
-            dec = value
-        elif isinstance(value, str):
-            try:
-                dec = Decimal(value.strip())
-            except InvalidOperation:
-                raise ParseError(f"{what} {value!r} is not a decimal number") from None
-        else:
-            raise ParseError(f"{what} {value!r} is not a decimal number")
-        if not dec.is_finite():
-            raise ParseError(f"{what} {value!r} is not a decimal number")
-        if dec < 0 or dec > 1:
-            raise OutOfRange(f"{what} = {dec} outside [0, 1]")
-        scaled = dec * GRADE_SCALE
-        ticks = int(scaled)
-        if scaled != ticks:
-            raise PrecisionLoss(f"{what} = {dec} has more than four decimal places")
-        return cls(ticks)
+        return cls(grade_ticks(value, what))
 
     @property
     def text(self) -> str:
@@ -113,6 +82,41 @@ class Grade:
 
     def __str__(self) -> str:
         return self.text
+
+
+def grade_ticks(value: object, what: str = "grade") -> int:
+    """Ten-thousandths of a grade given as text, an int, a float, or a Decimal.
+
+    Rejects values outside [0, 1] (OutOfRange), values that do not sit on
+    the 1/10000 grid (PrecisionLoss), and non-numeric input (ParseError).
+    ``what`` names the value in error messages.
+    """
+    if isinstance(value, str):
+        # The plain spellings "0", "1" and "0.d" to "0.dddd" skip Decimal.
+        if value == "0" or value == "1":
+            return GRADE_SCALE * int(value)
+        digits = value[2:]
+        if value[:2] == "0." and 0 < len(digits) <= 4 and digits.isascii() and digits.isdigit():
+            return int(digits.ljust(4, "0"))
+        try:
+            dec = Decimal(value.strip())
+        except InvalidOperation:
+            raise ParseError(f"{what} {value!r} is not a decimal number") from None
+    elif isinstance(value, float):
+        dec = Decimal(str(value))
+    elif isinstance(value, (int, Decimal)) and not isinstance(value, bool):
+        dec = Decimal(value)
+    else:
+        raise ParseError(f"{what} {value!r} is not a decimal number")
+    if not dec.is_finite():
+        raise ParseError(f"{what} {value!r} is not a decimal number")
+    if dec < 0 or dec > 1:
+        raise OutOfRange(f"{what} = {dec} outside [0, 1]")
+    scaled = dec * GRADE_SCALE
+    ticks = int(scaled)
+    if scaled != ticks:
+        raise PrecisionLoss(f"{what} = {dec} has more than four decimal places")
+    return ticks
 
 
 def _violation(t: int, i: int, f: int) -> str | None:

@@ -1,0 +1,284 @@
+"""The document and CLI boundary: one owner per invariant, strict JSON, and a
+mutation fuzz over the bundled fixtures."""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
+from pathlib import Path
+
+import pytest
+from helpers import fixture
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from inss import (
+    DecisionTable,
+    DuplicateElement,
+    DuplicateParameter,
+    InssError,
+    Parameter,
+    ParseError,
+    SoftSet,
+    load_reference_matrix,
+    load_soft_set,
+)
+from inss.cli import main
+from inss.grades import ZERO_TRIPLE, grade_ticks
+
+FIXTURES = sorted(fixture("shopping.json").parent.glob("*.json"))
+
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def write(tmp_path, text, name="doc.json"):
+    path = tmp_path / name
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    return path
+
+
+def doc_with(universe, parameters, grades):
+    return {"format_version": 1, "universe": universe, "parameters": parameters, "grades": grades}
+
+
+BRIGHT = {"name": "bright", "negated": False}
+
+
+class TestRepeatedChoices:
+    def test_restrict_rejects_a_repeated_parameter(self):
+        shopping = load_soft_set(fixture("shopping.json"))
+        bright = shopping.find_parameter("Bright")
+        with pytest.raises(DuplicateParameter):
+            shopping.restrict([bright, bright])
+
+    def test_decision_table_rejects_a_repeated_label(self):
+        with pytest.raises(DuplicateParameter):
+            DecisionTable(load_soft_set(fixture("shopping.json")), ["Bright", "Bright"])
+
+    def test_decide_reports_a_repeated_label(self):
+        code, out, err = run("decide", fixture("shopping.json"), "--params", "Bright,Bright")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: DuplicateParameter:")
+
+
+class TestErrorOrder:
+    def test_duplicate_element_before_bad_grade(self, tmp_path):
+        doc = doc_with(["b1", "b1"], [BRIGHT], {"bright": {"b1": ["2", "0", "0"]}})
+        with pytest.raises(DuplicateElement, match=r"universe\[1\]"):
+            load_soft_set(write(tmp_path, json.dumps(doc)))
+
+    def test_duplicate_parameter_before_bad_grade(self, tmp_path):
+        doc = doc_with(["b1"], [BRIGHT, BRIGHT], {"bright": {"b1": ["2", "0", "0"]}})
+        with pytest.raises(DuplicateParameter, match=r"parameters\[1\]"):
+            load_soft_set(write(tmp_path, json.dumps(doc)))
+
+    def test_json_true_is_not_the_grade_one(self, tmp_path):
+        grades = {"bright": {"b1": [1, 0, 0], "b2": [True, 0, 0]}}
+        with pytest.raises(ParseError, match=r"grades\['bright'\]\['b2'\]: truth True"):
+            load_soft_set(write(tmp_path, json.dumps(doc_with(["b1", "b2"], [BRIGHT], grades))))
+
+
+class TestOneOwnerPerInvariant:
+    def test_constructor_and_loader_share_element_messages(self, tmp_path):
+        p = Parameter("p")
+        with pytest.raises(DuplicateElement) as built:
+            SoftSet(("x", "x"), [p], {p: {"x": ZERO_TRIPLE}})
+        doc = doc_with(["x", "x"], [{"name": "p", "negated": False}], {"p": {"x": ["0", "0", "0"]}})
+        with pytest.raises(DuplicateElement) as loaded:
+            load_soft_set(write(tmp_path, json.dumps(doc)))
+        assert str(built.value) == str(loaded.value) == "universe[1]: duplicate element id 'x'"
+
+    def test_loader_keeps_the_universe_location_of_a_bad_id(self, tmp_path):
+        doc = doc_with(["x", 7], [], {})
+        with pytest.raises(ParseError, match=r"^universe\[1\]: element id must be a non-empty string, got 7"):
+            load_soft_set(write(tmp_path, json.dumps(doc)))
+        with pytest.raises(ValueError, match=r"^universe\[1\]: "):
+            SoftSet(("x", 7), [], {})
+
+    def test_label_clash_names_its_position(self, tmp_path):
+        pair = {"left": {"name": "a", "negated": False}, "right": {"name": "b", "negated": False}}
+        doc = doc_with(["x"], [{"name": "(a, b)", "negated": False}, pair], {})
+        with pytest.raises(DuplicateParameter, match=r"^parameters\[1\]: .* share label '\(a, b\)'$"):
+            load_soft_set(write(tmp_path, json.dumps(doc)))
+
+    @pytest.mark.parametrize("text", ["0", "1", "0.5", "0.1234", " 0.5", "0.50", "1.0", "5e-1", "0.5000"])
+    def test_grade_text_has_one_parser(self, text):
+        assert grade_ticks(text) == int(Decimal(text.strip()) * 10000)
+
+
+class TestStrictJson:
+    def test_duplicate_top_level_key(self, tmp_path):
+        text = json.dumps(doc_with(["b1"], [BRIGHT], {"bright": {"b1": ["0", "0", "0"]}}))
+        path = write(tmp_path, text.replace("{", '{"format_version": 1, ', 1))
+        with pytest.raises(ParseError, match="duplicate key 'format_version'"):
+            load_soft_set(path)
+        code, _, err = run("validate", path)
+        assert code == 1 and "duplicate key 'format_version'" in err
+
+    def test_duplicate_nested_key(self, tmp_path):
+        text = json.dumps(doc_with(["b1"], [BRIGHT], {"bright": {"b1": ["0", "0", "0"]}}))
+        text = text.replace('"b1": ["0"', '"b1": ["1", "0", "0"], "b1": ["0"')
+        with pytest.raises(ParseError, match="duplicate key 'b1'"):
+            load_soft_set(write(tmp_path, text))
+
+    def test_duplicate_key_in_reference_matrix(self, tmp_path):
+        text = fixture("shopping_matrix_printed.json").read_text().replace("{", '{"objects": [], ', 1)
+        with pytest.raises(ParseError, match="duplicate key 'objects'"):
+            load_reference_matrix(write(tmp_path, text))
+
+    def test_undecodable_file_is_an_io_error(self, tmp_path):
+        path = write(tmp_path, b'{"format_version": 1, "universe": ["b\xe91"]}')
+        with pytest.raises(OSError, match="not UTF-8"):
+            load_soft_set(path)
+        code, out, err = run("validate", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "not UTF-8" in err
+        code, _, err = run("decide", fixture("shopping.json"), "--reference-matrix", path)
+        assert code == 2 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("depth", [3000, 100_000])
+    def test_nesting_too_deep_for_the_decoder(self, tmp_path, depth):
+        path = write(tmp_path, '{"format_version": 1, "universe": ' + "[" * depth + "]" * depth + "}")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            load_soft_set(path)
+        code, _, err = run("validate", path)
+        assert code == 1 and err.startswith("error: ParseError:")
+
+    @pytest.mark.parametrize("depth", [1, 200, 350, 400, 450, 500, 600, 800, 1000, 1200, 3000])
+    def test_deep_compound_parameters_end_cleanly(self, tmp_path, depth):
+        # Deep enough, a product parameter breaks the interpreter's recursion
+        # limit: first in operations, then while loading, then while decoding.
+        spec = '{"name": "a", "negated": false}'
+        spec = '{"left": ' * depth + spec + ', "right": {"name": "b", "negated": false}}' * depth
+        label = "(" * depth + "a" + ", b)" * depth
+        grades = f'{{"{label}": {{"x": ["0", "0", "0"], "y": ["1", "0", "0"]}}}}'
+        text = f'{{"format_version": 1, "universe": ["x", "y"], "parameters": [{spec}], "grades": {grades}}}'
+        path = write(tmp_path, text)
+        try:
+            load_soft_set(path)
+        except ParseError as err:
+            assert "nested too deeply" in str(err)
+        for command in (["union", path, path], ["decide", path]):
+            code, _, err = run(*command)
+            assert code == 0 or (code == 1 and err.startswith("error: "))
+
+
+def test_empty_params_is_an_empty_parameter_set():
+    code, out, err = run("decide", fixture("shopping.json"), "--params", "")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: EmptyParameterSet:")
+
+
+# --- Fuzz: mutate the bundled fixtures and require a clean outcome ----------
+
+MARK = "\x00mark\x00"
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["", "0.5", "1", "0.55555", "b1", "Bright", "x"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _with_text_at(doc, path, text):
+    """The document's JSON with the value at ``path`` replaced by raw ``text``."""
+    if not path:
+        return text
+    _at(doc, path[:-1])[path[-1]] = MARK
+    return json.dumps(doc).replace(json.dumps(MARK), text, 1)
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """(fixture name, file bytes) for one fixture changed in one way."""
+    source = draw(st.sampled_from(FIXTURES))
+    raw = source.read_bytes()
+    doc = json.loads(raw)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    value = _at(doc, path)
+    kind = draw(st.sampled_from(["drop", "duplicate", "retype", "swap", "truncate", "undecodable", "nest"]))
+    if kind == "truncate":
+        return source.name, raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "undecodable":
+        at = draw(st.integers(0, len(raw)))
+        return source.name, raw[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + raw[at:]
+    if kind == "retype":
+        text = json.dumps(draw(json_values))
+    elif kind == "nest":
+        depth = 3 ** draw(st.integers(0, 8))  # 1 to 6561 levels
+        text = "[" * depth + json.dumps(value) + "]" * depth
+    elif kind == "swap":
+        other = draw(st.sampled_from(list(_paths(doc))))
+        text = json.dumps(_at(doc, other))
+    elif not path:
+        return source.name, raw
+    else:
+        parent, key = _at(doc, path[:-1]), path[-1]
+        if kind == "drop":
+            del parent[key]
+            return source.name, json.dumps(doc).encode()
+        if isinstance(parent, list):
+            parent.insert(key, value)
+            return source.name, json.dumps(doc).encode()
+        text = f"{json.dumps(value)}, {json.dumps(key)}: {json.dumps(value)}"
+    return source.name, _with_text_at(doc, path, text).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=mutated_fixtures())
+def test_mutated_fixtures_end_cleanly(case):
+    name, data = case
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / name
+        path.write_bytes(data)
+        reference = "matrix" in name
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            with pytest.raises(OSError):
+                (load_reference_matrix if reference else load_soft_set)(path)
+            allowed = {2}
+        else:
+            try:
+                (load_reference_matrix if reference else load_soft_set)(path)
+            except InssError:
+                pass
+            allowed = {0, 1}
+        if reference:
+            commands = [["decide", fixture("shopping.json"), "--reference-matrix", path]]
+        else:
+            commands = [
+                ["validate", path],
+                ["complement", path],
+                ["union", path, fixture(name)],
+                ["decide", path],
+            ]
+        for command in commands:
+            code, _, err = run(*command)
+            assert code in allowed
+            assert code == 0 or err.startswith("error: ")
