@@ -24,6 +24,7 @@ from the columns only when a caller looks a cell up.
 
 from __future__ import annotations
 
+import re
 from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -58,6 +59,9 @@ __all__ = [
     "canonicalize",
 ]
 
+# Code points U+D800-U+DFFF: JSON can spell them, but no UTF-8 output can carry them.
+_lone_surrogate = re.compile("[\ud800-\udfff]").search
+
 
 @dataclass(frozen=True)
 class Parameter:
@@ -69,6 +73,8 @@ class Parameter:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValueError(f"parameter name must be a non-empty string, got {self.name!r}")
+        if _lone_surrogate(self.name):
+            raise ValueError(f"parameter name must not contain a lone surrogate, got {self.name!r}")
 
     def negate(self) -> "Parameter":
         return Parameter(self.name, not self.negated)
@@ -188,12 +194,14 @@ class InsSet(Mapping):
 
 
 def checked_universe(elements: Iterable) -> tuple[str, ...]:
-    """The element ids as a universe: distinct non-empty strings, in order."""
+    """The element ids as a universe: distinct non-empty strings without lone surrogates, in order."""
     universe = tuple(elements)
     seen: set[str] = set()
     for index, element in enumerate(universe):
         if not isinstance(element, str) or not element:
             raise ValueError(f"universe[{index}]: element id must be a non-empty string, got {element!r}")
+        if _lone_surrogate(element):
+            raise ValueError(f"universe[{index}]: element id must not contain a lone surrogate, got {element!r}")
         if element in seen:
             raise DuplicateElement(f"universe[{index}]: duplicate element id '{element}'")
         seen.add(element)

@@ -244,10 +244,10 @@ class ReferenceMatrix:
 
     def __post_init__(self) -> None:
         if len(self.entries) != len(self.objects):
-            raise ValueError("reference matrix needs one row per object")
-        for row in self.entries:
+            raise ValueError("entries: need exactly one row per object")
+        for index, row in enumerate(self.entries):
             if len(row) != len(self.parameter_labels):
-                raise ValueError("reference matrix needs one column per parameter")
+                raise ValueError(f"entries[{index}]: need exactly one value per parameter")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ parameter label and element id and must cover them exactly.  A parameter is
 either ``{"name", "negated"}`` or a product ``{"left", "right"}`` of two
 parameters.  Each cell is ``[truth, indeterminacy, falsity]``; values may
 arrive as strings or numbers but are always written back as canonical
-minimal-decimal strings.  Serialization is canonical and stable: two-space
+minimal-decimal strings.  The process-wide tables ``grades.TICKS_BY_TEXT``
+and ``grades.GRADE_TEXTS`` read and write canonical texts; only other
+spellings are parsed.  Serialization is canonical and stable: two-space
 indent, sorted object keys, trailing newline, so loading and saving any
 document yields byte-identical output.
 
@@ -35,7 +37,7 @@ from pathlib import Path
 from .algebra import CompoundParameter, InsSet, ParamLike, Parameter, SoftSet, checked_universe, label_index
 from .decision import ReferenceMatrix
 from .errors import ConstraintViolation, OutOfRange, ParseError, PrecisionLoss
-from .grades import COMPONENTS, first_violation, grade_ticks, tick_texts
+from .grades import COMPONENTS, GRADE_TEXTS, TICKS_BY_TEXT, first_violation, grade_ticks
 
 __all__ = [
     "FORMAT_VERSION",
@@ -94,11 +96,13 @@ def _param_from_spec(spec: object, where: str) -> ParamLike:
         raise ParseError(f"{where}: parameter must be an object, got {spec!r}")
     if set(spec) == {"name", "negated"}:
         name, negated = spec["name"], spec["negated"]
-        if not isinstance(name, str) or not name:
-            raise ParseError(f"{where}.name: must be a non-empty string")
+        try:
+            param = Parameter(name, negated)
+        except ValueError as err:
+            raise ParseError(f"{where}.name: {err}") from None
         if not isinstance(negated, bool):
             raise ParseError(f"{where}.negated: must be true or false")
-        return Parameter(name, negated)
+        return param
     if set(spec) == {"left", "right"}:
         return CompoundParameter(
             _param_from_spec(spec["left"], f"{where}.left"),
@@ -115,20 +119,7 @@ def _param_to_spec(param: ParamLike) -> dict:
     return {"left": _param_to_spec(param.left), "right": _param_to_spec(param.right)}
 
 
-def _grade_ticks(raw: object, component: str, where: str, parsed: dict[str, int]) -> int:
-    """One grade as ticks, remembering the ticks of each grade text in ``parsed``."""
-    try:
-        value = grade_ticks(raw, component)
-    except (OutOfRange, PrecisionLoss, ParseError) as err:
-        raise type(err)(f"{where}: {err}") from None
-    if isinstance(raw, str):  # only text keys: JSON true would hit a key 1
-        parsed[raw] = value
-    return value
-
-
-def _value_set(
-    label: str, cells: dict, universe: tuple[str, ...], parsed: dict[str, int], check_grades: bool
-) -> InsSet:
+def _value_set(label: str, cells: dict, universe: tuple[str, ...], check_grades: bool) -> InsSet:
     """Translate one parameter's grades into tick columns.
 
     Errors come in reading order: cells in universe order, and within a cell
@@ -136,7 +127,7 @@ def _value_set(
     """
     columns = ([], [], [])
     truth, indeterminacy, falsity = (column.append for column in columns)
-    known = parsed.get
+    known = TICKS_BY_TEXT.get
     try:
         for element in universe:
             if element not in cells:
@@ -145,16 +136,15 @@ def _value_set(
             if not isinstance(cell, list) or len(cell) != 3:
                 raise ParseError(f"grades['{label}']['{element}']: expected [truth, indeterminacy, falsity]")
             try:
-                # Texts seen before are known grades; only the others are parsed.
+                # Canonical texts are looked up; only other spellings are parsed.
                 t, i, f = known(cell[0]), known(cell[1]), known(cell[2])
             except TypeError:  # an unhashable grade, for grade_ticks to reject
                 t = i = f = None
             if t is None or i is None or f is None:
-                where = f"grades['{label}']['{element}']"
-                t, i, f = (
-                    _grade_ticks(raw, component, where, parsed) if ticks is None else ticks
-                    for ticks, raw, component in zip((t, i, f), cell, COMPONENTS)
-                )
+                try:
+                    t, i, f = [grade_ticks(raw, component) for raw, component in zip(cell, COMPONENTS)]
+                except (OutOfRange, PrecisionLoss, ParseError) as err:
+                    raise type(err)(f"grades['{label}']['{element}']: {err}") from None
             truth(t)
             indeterminacy(i)
             falsity(f)
@@ -207,7 +197,6 @@ def _soft_set(doc: object, source: str, check_grades: bool) -> SoftSet:
         if key not in by_label:
             raise ParseError(f"grades: unknown parameter '{key}'")
     family = {}
-    parsed: dict[str, int] = {}
     for label, param in by_label.items():
         if label not in grades_raw:
             raise ParseError(f"grades: missing entry for parameter '{label}'")
@@ -217,21 +206,20 @@ def _soft_set(doc: object, source: str, check_grades: bool) -> SoftSet:
         for key in cells:
             if key not in elements:
                 raise ParseError(f"grades['{label}']: unknown element '{key}'")
-        family[param] = _value_set(label, cells, universe, parsed, check_grades)
+        family[param] = _value_set(label, cells, universe, check_grades)
 
     return SoftSet._of(universe, tuple(family), family)
 
 
 def soft_set_to_document(soft_set: SoftSet) -> dict:
     """The plain-dict document form of a soft set."""
-    tick_text = tick_texts()
     return {
         "format_version": FORMAT_VERSION,
         "universe": list(soft_set.universe),
         "parameters": [_param_to_spec(p) for p in soft_set.parameters],
         "grades": {
             param.label: {
-                element: [tick_text(t), tick_text(i), tick_text(f)]
+                element: [GRADE_TEXTS[t], GRADE_TEXTS[i], GRADE_TEXTS[f]]
                 for element, t, i, f in zip(soft_set.universe, *soft_set.value_set(param)._columns)
             }
             for param in soft_set.parameters
@@ -252,7 +240,7 @@ def serialize_soft_set(soft_set: SoftSet) -> str:
     written straight from the tick columns in that layout.
     """
     quote = json.encoder.encode_basestring_ascii
-    tick_text = tick_texts()
+    text = GRADE_TEXTS
     universe = soft_set.universe
     keys = [quote(element) for element in universe]
     order = sorted(range(len(universe)), key=universe.__getitem__)
@@ -261,8 +249,8 @@ def serialize_soft_set(soft_set: SoftSet) -> str:
     for label in sorted(by_label):
         t, i, f = soft_set.value_set(by_label[label])._columns
         cells = ",\n".join(
-            f'      {keys[k]}: [\n        "{tick_text(t[k])}",\n        "{tick_text(i[k])}",\n'
-            f'        "{tick_text(f[k])}"\n      ]'
+            f'      {keys[k]}: [\n        "{text[t[k]]}",\n        "{text[i[k]]}",\n'
+            f'        "{text[f[k]]}"\n      ]'
             for k in order
         )
         blocks.append(f"    {quote(label)}: " + (f"{{\n{cells}\n    }}" if cells else "{}"))
@@ -292,17 +280,16 @@ def load_reference_matrix(source: str | Path) -> ReferenceMatrix:
         raise ParseError("objects: must be a list of non-empty strings")
     if not isinstance(labels, list) or not all(isinstance(l, str) and l for l in labels):
         raise ParseError("parameters: must be a list of non-empty labels")
-    if not isinstance(entries, list) or len(entries) != len(objects):
-        raise ParseError("entries: need exactly one row per object")
-    rows = []
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise ParseError("entries: must be a list of rows of integers")
     for index, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != len(labels):
-            raise ParseError(f"entries[{index}]: need exactly one value per parameter")
         for value in row:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ParseError(f"entries[{index}]: values must be integers, got {value!r}")
-        rows.append(tuple(row))
-    return ReferenceMatrix(tuple(objects), tuple(labels), tuple(rows))
+    try:  # the row and column counts are the constructor's to check
+        return ReferenceMatrix(tuple(objects), tuple(labels), tuple(map(tuple, entries)))
+    except ValueError as err:
+        raise ParseError(str(err)) from None
 
 
 def format_grid(header: list[str], rows: list[list[str]]) -> str:
@@ -320,10 +307,9 @@ def render_table(soft_set: SoftSet) -> str:
     header = ["U"] + [p.label for p in soft_set.parameters]
     if not soft_set.parameters:
         return header[0]
-    tick_text = tick_texts()
     columns = [
         [
-            f"({tick_text(t)}, {tick_text(i)}, {tick_text(f)})"
+            f"({GRADE_TEXTS[t]}, {GRADE_TEXTS[i]}, {GRADE_TEXTS[f]})"
             for t, i, f in zip(*soft_set.value_set(p)._columns)
         ]
         for p in soft_set.parameters

@@ -20,14 +20,20 @@ The soft-set core does not hold these objects: it keeps each value set as
 three aligned columns of tick counts and checks them in bulk with
 :func:`first_violation`.  :func:`triples_from_ticks` builds the public objects
 from ticks when a caller asks for a cell.
+
+There are exactly 10001 grades, each with one canonical text; two immutable
+tables shared by the whole process translate between them: ``GRADE_TEXTS``
+(tick count to text) and its inverse ``TICKS_BY_TEXT``.  Readers look a text
+up there before parsing it, and writers only index.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
+import itertools
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from types import MappingProxyType
 
 from .errors import ConstraintViolation, OutOfRange, ParseError, PrecisionLoss
 
@@ -48,12 +54,13 @@ _SUM_CAP = 2 * GRADE_SCALE
 COMPONENTS = ("truth", "indeterminacy", "falsity")
 
 
-def _format_ticks(ticks: int) -> str:
-    """Minimal decimal text for a count of ten-thousandths ("0.3", "1", "0.1234")."""
-    whole, frac = divmod(ticks, GRADE_SCALE)
-    if frac == 0:
-        return str(whole)
-    return f"{whole}.{frac:04d}".rstrip("0")
+# The canonical text of every tick count ("0", "0.0001", ..., "0.9999", "1"), and its inverse.
+GRADE_TEXTS = (
+    "0",
+    *["0." + "".join(digits).rstrip("0") for digits in itertools.product("0123456789", repeat=4)][1:],
+    "1",
+)
+TICKS_BY_TEXT = MappingProxyType({text: ticks for ticks, text in enumerate(GRADE_TEXTS)})
 
 
 @dataclass(frozen=True, order=True)
@@ -66,7 +73,7 @@ class Grade:
         if isinstance(self.ten_thousandths, bool) or not isinstance(self.ten_thousandths, int):
             raise OutOfRange(f"grade count must be an integer, got {self.ten_thousandths!r}")
         if not 0 <= self.ten_thousandths <= GRADE_SCALE:
-            raise OutOfRange(f"grade = {_format_ticks(self.ten_thousandths)} outside [0, 1]")
+            raise OutOfRange(f"grade = {Decimal(self.ten_thousandths) / GRADE_SCALE} outside [0, 1]")
 
     @classmethod
     def parse(cls, value: object, what: str = "grade") -> "Grade":
@@ -78,7 +85,7 @@ class Grade:
     @property
     def text(self) -> str:
         """Canonical minimal-decimal form, with a leading zero ("0.3")."""
-        return _format_ticks(self.ten_thousandths)
+        return GRADE_TEXTS[self.ten_thousandths]
 
     def __str__(self) -> str:
         return self.text
@@ -92,12 +99,9 @@ def grade_ticks(value: object, what: str = "grade") -> int:
     ``what`` names the value in error messages.
     """
     if isinstance(value, str):
-        # The plain spellings "0", "1" and "0.d" to "0.dddd" skip Decimal.
-        if value == "0" or value == "1":
-            return GRADE_SCALE * int(value)
-        digits = value[2:]
-        if value[:2] == "0." and 0 < len(digits) <= 4 and digits.isascii() and digits.isdigit():
-            return int(digits.ljust(4, "0"))
+        ticks = TICKS_BY_TEXT.get(value)  # a canonical text skips Decimal
+        if ticks is not None:
+            return ticks
         try:
             dec = Decimal(value.strip())
         except InvalidOperation:
@@ -122,11 +126,11 @@ def grade_ticks(value: object, what: str = "grade") -> int:
 def _violation(t: int, i: int, f: int) -> str | None:
     """The first joint bound a triple of tick counts breaks, as a message."""
     if t > _HALF and f > _HALF:
-        return f"min(truth, falsity) = {_format_ticks(min(t, f))} exceeds 0.5"
+        return f"min(truth, falsity) = {GRADE_TEXTS[min(t, f)]} exceeds 0.5"
     if t > _HALF and i > _HALF:
-        return f"min(truth, indeterminacy) = {_format_ticks(min(t, i))} exceeds 0.5"
+        return f"min(truth, indeterminacy) = {GRADE_TEXTS[min(t, i)]} exceeds 0.5"
     if f > _HALF and i > _HALF:
-        return f"min(falsity, indeterminacy) = {_format_ticks(min(f, i))} exceeds 0.5"
+        return f"min(falsity, indeterminacy) = {GRADE_TEXTS[min(f, i)]} exceeds 0.5"
     return None
 
 
@@ -204,11 +208,6 @@ def complement_triple(triple: GradeTriple) -> GradeTriple:
 
 # One shared Grade per tick count, made when a count first comes up.
 shared_grade = functools.cache(Grade)
-
-
-def tick_texts() -> Callable[[int], str]:
-    """A fresh text-by-ticks lookup that formats each count once; one per document."""
-    return functools.cache(_format_ticks)
 
 
 def triples_from_ticks(elements, truth, indeterminacy, falsity) -> dict[str, GradeTriple]:

@@ -20,6 +20,7 @@ from inss import (
     InssError,
     Parameter,
     ParseError,
+    ReferenceMatrix,
     SoftSet,
     load_reference_matrix,
     load_soft_set,
@@ -101,6 +102,52 @@ class TestOneOwnerPerInvariant:
             load_soft_set(write(tmp_path, json.dumps(doc)))
         with pytest.raises(ValueError, match=r"^universe\[1\]: "):
             SoftSet(("x", 7), [], {})
+
+    def test_constructors_and_loader_share_lone_surrogate_messages(self, tmp_path):
+        with pytest.raises(ValueError) as built:
+            SoftSet(("x", "\ud800"), [], {})
+        with pytest.raises(ParseError) as loaded:
+            load_soft_set(write(tmp_path, json.dumps(doc_with(["x", "\ud800"], [], {}))))
+        assert str(built.value) == str(loaded.value)
+        assert str(loaded.value) == r"universe[1]: element id must not contain a lone surrogate, got '\ud800'"
+
+        with pytest.raises(ValueError) as built:
+            Parameter("a\udc80b")
+        doc = doc_with(["x"], [{"name": "a\udc80b", "negated": True}], {})
+        with pytest.raises(ParseError) as loaded:
+            load_soft_set(write(tmp_path, json.dumps(doc)))
+        assert str(loaded.value) == f"parameters[0].name: {built.value}"
+        assert str(built.value) == r"parameter name must not contain a lone surrogate, got 'a\udc80b'"
+
+    def test_surrogate_pairs_are_one_character_and_load(self, tmp_path):
+        grades = {"\U0001f34e": {"\U0001f600": ["0.5", "0", "0"]}}
+        doc = doc_with(["\U0001f600"], [{"name": "\U0001f34e", "negated": False}], grades)
+        text = json.dumps(doc)
+        assert "\\ud83d\\ude00" in text  # the ASCII JSON spells the id as a surrogate pair
+        loaded = load_soft_set(write(tmp_path, text))
+        assert loaded.universe == ("\U0001f600",)
+        assert loaded.parameters == (Parameter("\U0001f34e"),)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([[1]], "entries: need exactly one row per object"),
+            ([[1], [0, 0]], "entries[1]: need exactly one value per parameter"),
+        ],
+    )
+    def test_reference_matrix_shape_has_one_owner(self, tmp_path, entries, message):
+        with pytest.raises(ValueError) as built:
+            ReferenceMatrix(("a", "b"), ("p",), tuple(map(tuple, entries)))
+        doc = {"format_version": 1, "objects": ["a", "b"], "parameters": ["p"], "entries": entries}
+        with pytest.raises(ParseError) as loaded:
+            load_reference_matrix(write(tmp_path, json.dumps(doc)))
+        assert str(built.value) == str(loaded.value) == message
+
+    @pytest.mark.parametrize("entries", [{"a": [1]}, [[1], 0], [[1], "0"]])
+    def test_reference_matrix_rows_must_be_lists(self, tmp_path, entries):
+        doc = {"format_version": 1, "objects": ["a", "b"], "parameters": ["p"], "entries": entries}
+        with pytest.raises(ParseError, match=r"^entries: must be a list of rows of integers$"):
+            load_reference_matrix(write(tmp_path, json.dumps(doc)))
 
     def test_label_clash_names_its_position(self, tmp_path):
         pair = {"left": {"name": "a", "negated": False}, "right": {"name": "b", "negated": False}}

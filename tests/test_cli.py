@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -260,6 +261,40 @@ class TestDecide:
         )
         assert code == 1
         assert err.startswith("error: ReferenceMismatch:")
+
+
+class TestLoneSurrogates:
+    """JSON can spell U+D800-U+DFFF alone, but no UTF-8 output can print it."""
+
+    CASES = {
+        "id": (
+            ["e\ud800"],
+            "p",
+            r"universe[0]: element id must not contain a lone surrogate, got 'e\ud800'",
+        ),
+        "name": (
+            ["e"],
+            "\udfff",
+            r"parameters[0].name: parameter name must not contain a lone surrogate, got '\udfff'",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["validate", "show", "decide"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_at_load_with_exit_1(self, capsys, tmp_path, command, case):
+        universe, name, message = self.CASES[case]
+        doc = {
+            "format_version": 1,
+            "universe": universe,
+            "parameters": [{"name": name, "negated": False}],
+            "grades": {name: {element: ["0.5", "0.2", "0.3"] for element in universe}},
+        }
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, command, path)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: ParseError: {message}\n"
 
 
 class TestModuleEntryPoint:

@@ -9,6 +9,7 @@ generic JSON writer.
 
 import json
 import random
+from decimal import Decimal
 
 import pytest
 from helpers import FOUR_DECIMAL, PARAM_POOL, fine_soft_set, fixture, large_universe
@@ -35,6 +36,7 @@ from inss import (
     union,
 )
 from inss.cli import main
+from inss.grades import GRADE_TEXTS, TICKS_BY_TEXT, grade_ticks
 from inss.oracle import (
     _join_cells,
     _meet_cells,
@@ -249,3 +251,55 @@ def test_the_first_bad_cell_in_reading_order_is_reported(tmp_path, first, second
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(error, match=rf"grades\['p'\]\['{element}'\]"):
         load_soft_set(path)
+
+
+def test_the_grade_tables_hold_every_canonical_text_once():
+    assert len(GRADE_TEXTS) == len(TICKS_BY_TEXT) == GRADE_SCALE + 1
+    for k in FOUR_DECIMAL:
+        text = GRADE_TEXTS[k]
+        assert text == Grade(k).text == str(Decimal(k) / GRADE_SCALE)
+        assert TICKS_BY_TEXT[text] == k == grade_ticks(text)
+
+
+def test_the_grade_tables_never_learn_from_input(tmp_path):
+    spellings = ["0.50", "1.0", "0.2500", " 0.3", "+0.1", "5e-1", ".75", "0.0"]
+    universe = [f"e{k}" for k in range(len(spellings))]
+    doc = {
+        "format_version": 1,
+        "universe": universe,
+        "parameters": [{"name": "p", "negated": False}],
+        "grades": {"p": {e: [text, 0.25, 0] for e, text in zip(universe, spellings)}},
+    }
+    path = tmp_path / "spellings.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    loaded = load_soft_set(path)
+    assert [loaded.triple(Parameter("p"), e).truth.text for e in universe] == [
+        "0.5", "1", "0.25", "0.3", "0.1", "0.5", "0.75", "0"
+    ]
+    assert len(TICKS_BY_TEXT) == GRADE_SCALE + 1
+    assert all(text not in TICKS_BY_TEXT for text in spellings)
+    with pytest.raises(TypeError):
+        TICKS_BY_TEXT["0.50"] = 5000
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ([True, "0", "0"], "truth True is not a decimal number"),
+        ([False, "0", "0"], "truth False is not a decimal number"),
+        (["0.5", [0.5], "0"], "indeterminacy [0.5] is not a decimal number"),
+        (["0.5", "0", {"a": 1}], "falsity {'a': 1} is not a decimal number"),
+    ],
+)
+def test_json_booleans_and_unhashable_grades_miss_the_table(tmp_path, cell, message):
+    doc = {
+        "format_version": 1,
+        "universe": ["e"],
+        "parameters": [{"name": "p", "negated": False}],
+        "grades": {"p": {"e": cell}},
+    }
+    path = tmp_path / "odd_grades.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        load_soft_set(path)
+    assert str(caught.value) == f"grades['p']['e']: {message}"
