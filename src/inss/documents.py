@@ -37,7 +37,7 @@ from pathlib import Path
 from .algebra import CompoundParameter, InsSet, ParamLike, Parameter, SoftSet, checked_universe, label_index
 from .decision import ReferenceMatrix
 from .errors import ConstraintViolation, OutOfRange, ParseError, PrecisionLoss
-from .grades import COMPONENTS, GRADE_TEXTS, TICKS_BY_TEXT, first_violation, grade_ticks
+from .grades import _TICKS_BY_TEXT, GRADE_TEXTS, first_violation, grade_ticks
 
 __all__ = [
     "FORMAT_VERSION",
@@ -127,7 +127,7 @@ def _value_set(label: str, cells: dict, universe: tuple[str, ...], check_grades:
     """
     columns = ([], [], [])
     truth, indeterminacy, falsity = (column.append for column in columns)
-    known = TICKS_BY_TEXT.get
+    known = _TICKS_BY_TEXT.get  # the plain dict behind grades.TICKS_BY_TEXT
     try:
         for element in universe:
             if element not in cells:
@@ -142,7 +142,9 @@ def _value_set(label: str, cells: dict, universe: tuple[str, ...], check_grades:
                 t = i = f = None
             if t is None or i is None or f is None:
                 try:
-                    t, i, f = [grade_ticks(raw, component) for raw, component in zip(cell, COMPONENTS)]
+                    t = grade_ticks(cell[0], "truth") if t is None else t
+                    i = grade_ticks(cell[1], "indeterminacy") if i is None else i
+                    f = grade_ticks(cell[2], "falsity") if f is None else f
                 except (OutOfRange, PrecisionLoss, ParseError) as err:
                     raise type(err)(f"grades['{label}']['{element}']: {err}") from None
             truth(t)
@@ -280,9 +282,11 @@ def load_reference_matrix(source: str | Path) -> ReferenceMatrix:
         raise ParseError("objects: must be a list of non-empty strings")
     if not isinstance(labels, list) or not all(isinstance(l, str) and l for l in labels):
         raise ParseError("parameters: must be a list of non-empty labels")
-    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+    if not isinstance(entries, list):
         raise ParseError("entries: must be a list of rows of integers")
     for index, row in enumerate(entries):
+        if not isinstance(row, list):
+            raise ParseError(f"entries[{index}]: must be a list of integers")
         for value in row:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ParseError(f"entries[{index}]: values must be integers, got {value!r}")

@@ -55,12 +55,10 @@ COMPONENTS = ("truth", "indeterminacy", "falsity")
 
 
 # The canonical text of every tick count ("0", "0.0001", ..., "0.9999", "1"), and its inverse.
-GRADE_TEXTS = (
-    "0",
-    *["0." + "".join(digits).rstrip("0") for digits in itertools.product("0123456789", repeat=4)][1:],
-    "1",
-)
-TICKS_BY_TEXT = MappingProxyType({text: ticks for ticks, text in enumerate(GRADE_TEXTS)})
+# Readers call the plain dict's get: a mappingproxy's get looks "get" up again on every call.
+GRADE_TEXTS = ("0", *["0." + "".join(d).rstrip("0") for d in itertools.product("0123456789", repeat=4)][1:], "1")
+_TICKS_BY_TEXT = {text: ticks for ticks, text in enumerate(GRADE_TEXTS)}
+TICKS_BY_TEXT = MappingProxyType(_TICKS_BY_TEXT)
 
 
 @dataclass(frozen=True, order=True)
@@ -99,9 +97,13 @@ def grade_ticks(value: object, what: str = "grade") -> int:
     ``what`` names the value in error messages.
     """
     if isinstance(value, str):
-        ticks = TICKS_BY_TEXT.get(value)  # a canonical text skips Decimal
+        # Canonical texts, and the fixed-width spellings "0.d" to "0.dddd", skip Decimal.
+        ticks = _TICKS_BY_TEXT.get(value)
         if ticks is not None:
             return ticks
+        digits = value[2:]
+        if value[:2] == "0." and 0 < len(digits) <= 4 and digits.isascii() and digits.isdigit():
+            return int(digits.ljust(4, "0"))
         try:
             dec = Decimal(value.strip())
         except InvalidOperation:

@@ -143,11 +143,20 @@ class TestOneOwnerPerInvariant:
             load_reference_matrix(write(tmp_path, json.dumps(doc)))
         assert str(built.value) == str(loaded.value) == message
 
-    @pytest.mark.parametrize("entries", [{"a": [1]}, [[1], 0], [[1], "0"]])
-    def test_reference_matrix_rows_must_be_lists(self, tmp_path, entries):
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({"a": [1]}, "entries: must be a list of rows of integers"),
+            ([[1], 0], "entries[1]: must be a list of integers"),
+            ([[1], "0"], "entries[1]: must be a list of integers"),
+            ([0, [1]], "entries[0]: must be a list of integers"),
+        ],
+    )
+    def test_reference_matrix_rows_must_be_lists(self, tmp_path, entries, message):
         doc = {"format_version": 1, "objects": ["a", "b"], "parameters": ["p"], "entries": entries}
-        with pytest.raises(ParseError, match=r"^entries: must be a list of rows of integers$"):
+        with pytest.raises(ParseError) as loaded:
             load_reference_matrix(write(tmp_path, json.dumps(doc)))
+        assert str(loaded.value) == message
 
     def test_label_clash_names_its_position(self, tmp_path):
         pair = {"left": {"name": "a", "negated": False}, "right": {"name": "b", "negated": False}}

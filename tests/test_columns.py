@@ -35,6 +35,7 @@ from inss import (
     soft_set_to_document,
     union,
 )
+from inss import grades
 from inss.cli import main
 from inss.grades import GRADE_TEXTS, TICKS_BY_TEXT, grade_ticks
 from inss.oracle import (
@@ -259,6 +260,17 @@ def test_the_grade_tables_hold_every_canonical_text_once():
         text = GRADE_TEXTS[k]
         assert text == Grade(k).text == str(Decimal(k) / GRADE_SCALE)
         assert TICKS_BY_TEXT[text] == k == grade_ticks(text)
+
+
+def test_fixed_width_spellings_skip_decimal(monkeypatch):
+    spellings = {
+        f"{Decimal(k) / GRADE_SCALE:.{width}f}": k
+        for width in (1, 2, 3, 4)
+        for k in range(0, GRADE_SCALE, 10 ** (4 - width))
+    }
+    monkeypatch.setattr(grades, "Decimal", None)  # any text that reached Decimal would raise TypeError
+    for text, k in spellings.items():
+        assert grade_ticks(text) == k
 
 
 def test_the_grade_tables_never_learn_from_input(tmp_path):
