@@ -49,14 +49,17 @@ __all__ = [
 
 GRADE_SCALE = 10_000
 _HALF = GRADE_SCALE // 2
-_SUM_CAP = 2 * GRADE_SCALE
 
 COMPONENTS = ("truth", "indeterminacy", "falsity")
 
 
 # The canonical text of every tick count ("0", "0.0001", ..., "0.9999", "1"), and its inverse.
 # Readers call the plain dict's get: a mappingproxy's get looks "get" up again on every call.
-GRADE_TEXTS = ("0", *["0." + "".join(d).rstrip("0") for d in itertools.product("0123456789", repeat=4)][1:], "1")
+GRADE_TEXTS = (
+    "0",
+    *["0." + "".join(digits).rstrip("0") for digits in itertools.product("0123456789", repeat=4)][1:],
+    "1",
+)
 _TICKS_BY_TEXT = {text: ticks for ticks, text in enumerate(GRADE_TEXTS)}
 TICKS_BY_TEXT = MappingProxyType(_TICKS_BY_TEXT)
 
