@@ -14,10 +14,13 @@ These rules (and complement's swap of truth with falsity) preserve the
 triple validity bounds, so closure holds by construction.
 
 Each value set is stored as three aligned columns of tick counts (truth,
-indeterminacy, falsity) in universe order, and every operation works
-column-wise on those integers.  A value set also records whether its cells
-are known to be valid: a result computed from valid value sets is valid
-without a check, and any other result is checked in bulk, raising
+indeterminacy, falsity) in universe order, plain lists of ints, and every
+operation works column-wise on those integers.  Columns are never changed
+once built, so value sets share them freely: complement reuses its
+operand's lists, and a product's value sets are slices of one result per
+left parameter.  A value set also records whether its cells are known to
+be valid: a result computed from valid value sets is valid without a
+check, and any other result is checked in bulk, raising
 ConstraintViolation for its first bad cell.  GradeTriple objects are built
 from the columns only when a caller looks a cell up.
 """
@@ -25,7 +28,6 @@ from the columns only when a caller looks a cell up.
 from __future__ import annotations
 
 import re
-from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import gt, lt
@@ -123,8 +125,9 @@ Columns = tuple  # (truth, indeterminacy, falsity) tick counts, each in universe
 class InsSet(Mapping):
     """A total assignment of grade triples over an ordered universe.
 
-    The grades are held as three ``array("H")`` tick columns; the
-    GradeTriple objects are built the first time an element is looked up.
+    The grades are held as three lists of tick counts, never changed once
+    built; the GradeTriple objects are built the first time an element is
+    looked up.
     """
 
     __slots__ = ("_universe", "_columns", "_valid", "_cells")
@@ -146,19 +149,19 @@ class InsSet(Mapping):
                 raise TypeError(f"value for {element!r} is not a GradeTriple")
         given = [triples[e] for e in self._universe]
         self._columns = tuple(
-            array("H", [getattr(triple, name).ten_thousandths for triple in given])
-            for name in COMPONENTS
+            [getattr(triple, name).ten_thousandths for triple in given] for name in COMPONENTS
         )
         self._valid = first_violation(*self._columns) is None
         self._cells = None
 
     @classmethod
     def _of(cls, universe: tuple[str, ...], columns: Columns, valid: bool) -> "InsSet":
-        """A value set from tick columns that already cover ``universe``;
-        ``valid`` says whether every cell is known to meet the joint bounds."""
+        """A value set over ``universe`` holding the given lists of ticks,
+        which it keeps without copying; ``valid`` says whether every cell is
+        known to meet the joint bounds."""
         self = cls.__new__(cls)
         self._universe = universe
-        self._columns = tuple(array("H", column) for column in columns)
+        self._columns = columns
         self._valid = valid
         self._cells = None
         return self
@@ -345,13 +348,17 @@ def _meet(a: Columns, b: Columns) -> Columns:
     return (_smaller(a[0], b[0]), _smaller(a[1], b[1]), _larger(a[2], b[2]))
 
 
-def _result(universe: tuple[str, ...], columns: Columns, from_valid: bool) -> InsSet:
-    """A computed value set; unless its inputs were all valid, check it."""
+def _checked(columns: Columns, from_valid: bool) -> Columns:
+    """Computed columns; unless their inputs were all valid, check them."""
     if not from_valid:
         problem = first_violation(*columns)
         if problem is not None:
             raise ConstraintViolation(problem[1])
-    return InsSet._of(universe, columns, True)
+    return columns
+
+
+def _result(universe: tuple[str, ...], columns: Columns, from_valid: bool) -> InsSet:
+    return InsSet._of(universe, _checked(columns, from_valid), True)
 
 
 def _combine(ours: InsSet, theirs: InsSet, rule) -> InsSet:
@@ -419,12 +426,27 @@ def intersection(left: SoftSet, right: SoftSet) -> SoftSet:
 
 
 def _product(left: SoftSet, right: SoftSet, rule) -> SoftSet:
+    """One pass per left parameter against all of right's columns laid end to
+    end; each pair's value set is a slice of that row's result.
+
+    A row is checked as a whole, so its first bad cell is also the first in
+    row-major pair order: pairs of valid value sets are valid by closure.
+    """
     _require_same_universe(left, right)
+    universe, size = left.universe, len(left.universe)
+    theirs = right._family.values()
+    count = len(theirs)
+    flat = tuple([tick for value_set in theirs for tick in value_set._columns[k]] for k in range(3))
+    all_valid = all(value_set._valid for value_set in theirs)
+    spans = [(k * size, (k + 1) * size) for k in range(count)]
     family = {}
     for a, ours in left._family.items():
-        for b, theirs in right._family.items():
-            family[CompoundParameter(a, b)] = _combine(ours, theirs, rule)
-    return SoftSet._of(left.universe, tuple(family), family)
+        repeated = tuple(column * count for column in ours._columns)
+        t, i, f = _checked(rule(repeated, flat), ours._valid and all_valid)
+        for b, (start, stop) in zip(right._family, spans):
+            columns = (t[start:stop], i[start:stop], f[start:stop])
+            family[CompoundParameter(a, b)] = InsSet._of(universe, columns, True)
+    return SoftSet._of(universe, tuple(family), family)
 
 
 def and_op(left: SoftSet, right: SoftSet) -> SoftSet:

@@ -128,6 +128,16 @@ def _value_set(label: str, cells: dict, universe: tuple[str, ...], check_grades:
     columns = ([], [], [])
     truth, indeterminacy, falsity = (column.append for column in columns)
     known = _TICKS_BY_TEXT.get  # the plain dict behind grades.TICKS_BY_TEXT
+    missed: dict[str, int] = {}  # other spellings read so far in this value set
+
+    def parsed(value: object, what: str) -> int:
+        if value.__class__ is not str:
+            return grade_ticks(value, what)
+        ticks = missed.get(value)
+        if ticks is None:
+            ticks = missed[value] = grade_ticks(value, what)
+        return ticks
+
     try:
         for element in universe:
             if element not in cells:
@@ -142,9 +152,9 @@ def _value_set(label: str, cells: dict, universe: tuple[str, ...], check_grades:
                 t = i = f = None
             if t is None or i is None or f is None:
                 try:
-                    t = grade_ticks(cell[0], "truth") if t is None else t
-                    i = grade_ticks(cell[1], "indeterminacy") if i is None else i
-                    f = grade_ticks(cell[2], "falsity") if f is None else f
+                    t = parsed(cell[0], "truth") if t is None else t
+                    i = parsed(cell[1], "indeterminacy") if i is None else i
+                    f = parsed(cell[2], "falsity") if f is None else f
                 except (OutOfRange, PrecisionLoss, ParseError) as err:
                     raise type(err)(f"grades['{label}']['{element}']: {err}") from None
             truth(t)

@@ -200,10 +200,13 @@ ZERO_TRIPLE = GradeTriple(Grade(0), Grade(0), Grade(0))
 def validate_triple(truth: object, indeterminacy: object, falsity: object) -> GradeTriple:
     """Parse three raw values and return the validated triple they form."""
     return GradeTriple(
-        Grade.parse(truth, "truth"),
-        Grade.parse(indeterminacy, "indeterminacy"),
-        Grade.parse(falsity, "falsity"),
+        _grade(truth, "truth"), _grade(indeterminacy, "indeterminacy"), _grade(falsity, "falsity")
     )
+
+
+def _grade(value: object, what: str) -> Grade:
+    """``value`` itself if it is a Grade, else the shared Grade of its ticks."""
+    return value if isinstance(value, Grade) else shared_grade(grade_ticks(value, what))
 
 
 def complement_triple(triple: GradeTriple) -> GradeTriple:

@@ -224,6 +224,85 @@ def test_unchecked_operands_still_combine_when_every_result_is_valid():
     assert _raw(or_op(b, a)) == _raw_product(_raw(b), _raw(a), _join_cells)
 
 
+def product_operands(seed: int, objects: int, left_count: int, right_count: int):
+    """Two soft sets on one universe with distinct, partly negated parameters."""
+    rng = random.Random(seed)
+    universe = [f"e{k}" for k in range(objects)]
+    pool = rng.sample(FOUR_DECIMAL, 15) if seed % 2 else FOUR_DECIMAL
+
+    def side(prefix, count):
+        params = [Parameter(f"{prefix}{k}", rng.random() < 0.3) for k in range(count)]
+        return fine_soft_set(rng, universe, params, pool)
+
+    return side("a", left_count), side("b", right_count)
+
+
+@pytest.mark.parametrize(
+    "seed, objects, left_count, right_count",
+    [(0, 20, 20, 40), (1, 20, 40, 20), (2, 1, 60, 45), (3, 0, 5, 7), (4, 20, 3, 0), (5, 20, 0, 3)],
+)
+def test_products_match_the_oracle_at_many_parameters(seed, objects, left_count, right_count):
+    a, b = product_operands(seed, objects, left_count, right_count)
+    ra, rb = _raw(a), _raw(b)
+    for op, rule in ((and_op, _meet_cells), (or_op, _join_cells)):
+        product = op(a, b)
+        assert _raw(product) == _raw_product(ra, rb, rule)
+        assert len(product.parameters) == left_count * right_count
+
+
+@pytest.mark.parametrize(
+    "op, passes", [(and_op, (GRADE_SCALE, GRADE_SCALE, 0)), (or_op, (0, GRADE_SCALE, GRADE_SCALE))]
+)
+def test_a_product_reports_the_first_bad_pair_in_row_major_order(op, passes):
+    # Left cells either pass the right cell through unchanged or hide it behind
+    # zeros, so exactly the pairs (l1, r2) at e2 and (l2, r1) at e1 come out
+    # bad.  Row-major order reaches (l1, r2) first; pair-column order, or
+    # element order across pairs, would reach (l2, r1) and report 0.6.
+    def triple(t, i, f):
+        return GradeTriple.unchecked(Grade(t), Grade(i), Grade(f))
+
+    hides = triple(0, 0, 0)
+    l1, l2, r1, r2 = (Parameter(name) for name in ("l1", "l2", "r1", "r2"))
+    left = SoftSet(("e1", "e2"), [l1, l2], {
+        l1: {"e1": hides, "e2": triple(*passes)},
+        l2: {"e1": triple(*passes), "e2": hides},
+    })
+    right = SoftSet(("e1", "e2"), [r1, r2], {
+        r1: {"e1": triple(6000, 6000, 0), "e2": triple(2000, 2000, 2000)},
+        r2: {"e1": triple(2000, 2000, 2000), "e2": triple(0, 7000, 7000)},
+    })
+    with pytest.raises(ConstraintViolation) as caught:
+        op(left, right)
+    assert str(caught.value) == "min(falsity, indeterminacy) = 0.7 exceeds 0.5"
+
+
+@pytest.mark.parametrize("op, valid", [(and_op, (GRADE_SCALE, 0, 0)), (or_op, (0, 0, GRADE_SCALE))])
+def test_a_product_with_one_unchecked_operand_is_checked(op, valid):
+    p, q = Parameter("p"), Parameter("q")
+    good = SoftSet(("e",), [p], {p: {"e": GradeTriple(*map(Grade, valid))}})
+    bad_cell = GradeTriple.unchecked(Grade(6000), Grade(0), Grade(7000))
+    bad = SoftSet(("e",), [p, q], {p: {"e": GradeTriple(Grade(0), Grade(0), Grade(0))}, q: {"e": bad_cell}})
+    for left, right in ((good, bad), (bad, good)):
+        with pytest.raises(ConstraintViolation, match=r"^min\(truth, falsity\) = 0\.6 exceeds 0\.5$"):
+            op(left, right)
+
+
+def test_operations_leave_their_operands_unchanged():
+    # Value sets share their tick lists with the operands and results they
+    # came from, so no operation may change a list in place.
+    a, b = operands(6, 20, 40)
+    results = [op(a, b) for op in (and_op, or_op, union, intersection)] + [complement(a), complement(b)]
+    sets = [a, b, *results]
+    written = [serialize_soft_set(s) for s in sets]
+    for result in results:
+        for other in (result, a, b):
+            for op in (and_op, or_op, union):
+                op(result, other)
+                op(other, result)
+        complement(complement(result))
+    assert [serialize_soft_set(s) for s in sets] == written
+
+
 def test_decide_audit_agrees_with_the_oracle_on_a_large_document(tmp_path, capsys):
     a, _ = operands(3, 150, 150)
     path = tmp_path / "large.json"
@@ -292,6 +371,28 @@ def test_the_grade_tables_never_learn_from_input(tmp_path):
     assert all(text not in TICKS_BY_TEXT for text in spellings)
     with pytest.raises(TypeError):
         TICKS_BY_TEXT["0.50"] = 5000
+
+
+def test_repeated_spellings_in_one_value_set_read_alike(tmp_path):
+    # The loader remembers the non-canonical texts it has read in a value
+    # set; a repeat, in any component, must read as the first one did.
+    rows = [["0.50", "0.50", "1.00"], ["1.00", "0.0", "0.50"], [" 0.25", 1, "0.0"], ["0.50", " 0.25", 1.0]]
+    universe = [f"e{k}" for k in range(len(rows))]
+    doc = {
+        "format_version": 1,
+        "universe": universe,
+        "parameters": [{"name": "p", "negated": False}],
+        "grades": {"p": dict(zip(universe, rows))},
+    }
+    path = tmp_path / "repeats.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    loaded = load_soft_set(path, check_grades=False)
+    for element, row in zip(universe, rows):
+        assert loaded.triple(Parameter("p"), element).components() == tuple(map(Grade.parse, row))
+    doc["grades"]["p"]["e3"] = ["0.50", " 0.25", True]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError, match=r"^grades\['p'\]\['e3'\]: falsity True is not a decimal number$"):
+        load_soft_set(path, check_grades=False)
 
 
 @pytest.mark.parametrize(
