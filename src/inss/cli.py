@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -25,7 +26,6 @@ from .documents import (
     serialize_soft_set,
 )
 from .errors import InssError
-from .oracle import oracle_matrix
 
 __all__ = ["main", "split_parameter_list"]
 
@@ -76,17 +76,17 @@ def _cmd_complement(args: argparse.Namespace) -> int:
     return 0
 
 
-def _binary(op: Callable[[SoftSet, SoftSet], SoftSet]) -> Callable[[argparse.Namespace], int]:
+def _binary(op: str) -> Callable[[argparse.Namespace], int]:
     def handler(args: argparse.Namespace) -> int:
-        _emit(op(load_soft_set(args.left), load_soft_set(args.right)), args.out)
+        _emit(globals()[op](load_soft_set(args.left), load_soft_set(args.right)), args.out)
         return 0
 
     return handler
 
 
-def _predicate(op: Callable[[SoftSet, SoftSet], bool]) -> Callable[[argparse.Namespace], int]:
+def _predicate(op: str) -> Callable[[argparse.Namespace], int]:
     def handler(args: argparse.Namespace) -> int:
-        print("true" if op(load_soft_set(args.left), load_soft_set(args.right)) else "false")
+        print("true" if globals()[op](load_soft_set(args.left), load_soft_set(args.right)) else "false")
         return 0
 
     return handler
@@ -96,12 +96,14 @@ def _decision_report(report: SelectionReport, audit: bool) -> str:
     matrix = report.matrix
     sections = ["Decision table", render_table(report.table.soft_set), ""]
 
-    header = ["U"] + [p.label for p in matrix.parameters]
-    rows = [
-        [object_id] + [f"{t + i - f} = {t}+{i}-{f}" for t, i, f in zip(*wins)]
-        for object_id, *wins in zip(matrix.objects, *matrix._wins)
-    ]
-    sections += ["Comparison matrix", format_grid(header, rows), ""]
+    # Counts lie in 0..n-1, entries in -(n-1)..2(n-1); negative ones index from the end.
+    n = len(matrix.objects)
+    texts = [str(k) for k in range(2 * n - 1)] + [str(k) for k in range(1 - n, 0)]
+    columns = [["U", *matrix.objects]]
+    for param, values, *wins in zip(matrix.parameters, zip(*matrix.entries), *matrix._wins):
+        cells = [f"{texts[v]} = {texts[t]}+{texts[i]}-{texts[f]}" for v, t, i, f in zip(values, *wins)]
+        columns.append([param.label, *cells])
+    sections += ["Comparison matrix", format_grid(columns), ""]
 
     width = max(len(o) for o in matrix.objects)
     sections.append("Scores")
@@ -147,13 +149,16 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         load_reference_matrix(args.reference_matrix) if args.reference_matrix else None
     )
     report = select_best(soft_set, choice, reference)
-    if args.audit and oracle_matrix(report.table) != report.matrix:
-        print("error: oracle recount disagrees with production matrix", file=sys.stderr)
-        return 1
+    if args.audit:
+        from .oracle import oracle_matrix  # only --audit needs the oracle
+        if oracle_matrix(report.table) != report.matrix:
+            print("error: oracle recount disagrees with production matrix", file=sys.stderr)
+            return 1
     print(_decision_report(report, args.audit))
     return 0
 
 
+@cache  # one per process: parse_args keeps no state, handlers find operations by name per call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inss",
@@ -178,10 +183,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_complement)
 
     binary_ops = [
-        ("union", "Join two soft sets (max/min/min on shared parameters).", union),
-        ("intersect", "Meet two soft sets on their shared parameters.", intersection),
-        ("and", "All parameter pairs, graded by the meet rule.", and_op),
-        ("or", "All parameter pairs, graded by the join rule.", or_op),
+        ("union", "Join two soft sets (max/min/min on shared parameters).", "union"),
+        ("intersect", "Meet two soft sets on their shared parameters.", "intersection"),
+        ("and", "All parameter pairs, graded by the meet rule.", "and_op"),
+        ("or", "All parameter pairs, graded by the join rule.", "or_op"),
     ]
     for name, help_text, op in binary_ops:
         p = add(name, help_text)
@@ -193,12 +198,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("subset", "Print true when the first set is contained in the second.")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(handler=_predicate(is_subset))
+    p.set_defaults(handler=_predicate("is_subset"))
 
     p = add("equals", "Print true when both sets carry identical grades.")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(handler=_predicate(equals))
+    p.set_defaults(handler=_predicate("equals"))
 
     p = add("decide", "Rank the universe by comparison-matrix scores and pick the best.")
     p.add_argument("file")

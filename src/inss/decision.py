@@ -11,9 +11,10 @@ All three counts use >= against each other object, so ties count as wins.
 Row sums give the scores; the best object is the highest score, earliest
 universe position winning ties.  Per-column work is independent (columns
 could be computed in parallel); this implementation is sequential, reads the
-soft set's tick columns directly and sorts each one once.  The three win
-counts are kept as integer grids; CellAudit objects are built only when a
-caller reads ``ComparisonMatrix.audits``.
+soft set's tick columns directly and sorts each one once.  The matrix keeps
+the win counts as they are computed, one tuple of ints per component and
+parameter; CellAudit objects are built only when a caller reads
+``ComparisonMatrix.audits``.
 """
 
 from __future__ import annotations
@@ -109,11 +110,12 @@ class CellAudit:
         return self.truth_wins + self.indeterminacy_wins - self.falsity_wins
 
 
-Grid = tuple  # rows indexed by object, one int per parameter
-
-
 class ComparisonMatrix:
-    """Matrix of audit cells, rows indexed by object, columns by parameter."""
+    """Matrix of audit cells, rows indexed by object, columns by parameter.
+
+    Win counts are kept as ``comparison_matrix`` computes them: for truth,
+    indeterminacy and falsity, one tuple per parameter, indexed by object.
+    """
 
     __slots__ = ("_objects", "_parameters", "_wins", "_entries", "_audits")
 
@@ -124,14 +126,14 @@ class ComparisonMatrix:
         audits: tuple[tuple[CellAudit, ...], ...],
     ):
         wins = tuple(
-            tuple(tuple(getattr(cell, name) for cell in row) for row in audits)
+            tuple(tuple(getattr(cell, name) for cell in column) for column in zip(*audits))
             for name in ("truth_wins", "indeterminacy_wins", "falsity_wins")
         )
         self._set(objects, parameters, wins, audits)
 
     @classmethod
-    def _of(cls, objects, parameters, wins: tuple[Grid, Grid, Grid]) -> "ComparisonMatrix":
-        """A matrix from its truth, indeterminacy and falsity win grids."""
+    def _of(cls, objects, parameters, wins: tuple[tuple, tuple, tuple]) -> "ComparisonMatrix":
+        """A matrix from its truth, indeterminacy and falsity win columns."""
         self = cls.__new__(cls)
         self._set(objects, parameters, wins, None)
         return self
@@ -140,10 +142,13 @@ class ComparisonMatrix:
         self._objects = objects
         self._parameters = parameters
         self._wins = wins
-        self._entries = tuple(
-            tuple(t + i - f for t, i, f in zip(*rows)) for rows in zip(*wins)
-        )
+        values = [[t + i - f for t, i, f in zip(*columns)] for columns in zip(*wins)]
+        self._entries = tuple(zip(*values)) if values else ((),) * len(objects)
         self._audits = audits
+
+    def _rows(self):
+        """Per object, its truth, indeterminacy and falsity win counts by parameter."""
+        return zip(*(zip(*columns) for columns in self._wins))
 
     @property
     def objects(self) -> tuple[str, ...]:
@@ -156,9 +161,7 @@ class ComparisonMatrix:
     @property
     def audits(self) -> tuple[tuple[CellAudit, ...], ...]:
         if self._audits is None:
-            self._audits = tuple(
-                tuple(map(CellAudit, *rows)) for rows in zip(*self._wins)
-            )
+            self._audits = tuple(tuple(map(CellAudit, *rows)) for rows in self._rows())
         return self._audits
 
     @property
@@ -194,14 +197,14 @@ class ComparisonMatrix:
         )
 
 
-def _win_counts(column) -> list[int]:
+def _win_counts(column) -> tuple[int, ...]:
     """For each value, how many other values in the column are at or below it.
 
     Mapping each value to its last position in sorted order gives exactly
     that count.
     """
     last = dict(zip(sorted(column), range(len(column))))
-    return list(map(last.__getitem__, column))
+    return tuple(map(last.__getitem__, column))
 
 
 def comparison_matrix(table: DecisionTable) -> ComparisonMatrix:
@@ -214,8 +217,7 @@ def comparison_matrix(table: DecisionTable) -> ComparisonMatrix:
     for param in table.parameters:
         for counts, column in zip(per_component, table.soft_set.value_set(param)._columns):
             counts.append(_win_counts(column))
-    wins = tuple(tuple(zip(*columns)) for columns in per_component)
-    return ComparisonMatrix._of(table.objects, table.parameters, wins)
+    return ComparisonMatrix._of(table.objects, table.parameters, tuple(map(tuple, per_component)))
 
 
 @dataclass(frozen=True)
@@ -268,11 +270,11 @@ def _diff_against(matrix: ComparisonMatrix, reference: ReferenceMatrix) -> tuple
             f"computed matrix covers {list(matrix.objects)} x {list(labels)}"
         )
     diffs = []
-    entries = matrix.entries
-    for i, object_id in enumerate(matrix.objects):
-        for j, param in enumerate(matrix.parameters):
-            if entries[i][j] != reference.entries[i][j]:
-                diffs.append(MatrixDiff(object_id, param, entries[i][j], reference.entries[i][j]))
+    for object_id, row, expected in zip(matrix.objects, matrix.entries, reference.entries):
+        if row != expected:
+            for param, computed, value in zip(matrix.parameters, row, expected):
+                if computed != value:
+                    diffs.append(MatrixDiff(object_id, param, computed, value))
     return tuple(diffs)
 
 
@@ -292,9 +294,7 @@ class SelectionReport:
             "objects": list(self.matrix.objects),
             "parameters": [p.label for p in self.matrix.parameters],
             "matrix": [list(row) for row in self.matrix.entries],
-            "audits": [
-                [list(cell) for cell in zip(*rows)] for rows in zip(*self.matrix._wins)
-            ],
+            "audits": [[list(cell) for cell in zip(*rows)] for rows in self.matrix._rows()],
             "scores": list(self.scores.scores),
             "ranking": list(self.scores.ranking),
             "best": self.best,

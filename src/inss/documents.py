@@ -32,6 +32,7 @@ Reference matrices (for auditing a computed comparison matrix) use:
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 
 from .algebra import CompoundParameter, InsSet, ParamLike, Parameter, SoftSet, checked_universe, label_index
@@ -306,11 +307,15 @@ def load_reference_matrix(source: str | Path) -> ReferenceMatrix:
         raise ParseError(str(err)) from None
 
 
-def format_grid(header: list[str], rows: list[list[str]]) -> str:
-    """Left-aligned columns two spaces apart, no trailing spaces."""
-    lines = [header] + rows
-    widths = [max(map(len, column)) for column in zip(*lines)]
-    return "\n".join("  ".join(map(str.ljust, line, widths)).rstrip() for line in lines)
+def format_grid(columns: list[list[str]]) -> str:
+    """Left-aligned columns two spaces apart, no trailing spaces.
+
+    Takes columns of cell texts, header first, and pads each once to its
+    widest cell; the last needs no padding, as trailing spaces are stripped.
+    """
+    *padded, last = columns
+    padded = [list(map(str.ljust, column, repeat(max(map(len, column))))) for column in padded]
+    return "\n".join(map(str.rstrip, map("  ".join, zip(*padded, last))))
 
 
 def render_table(soft_set: SoftSet) -> str:
@@ -318,14 +323,13 @@ def render_table(soft_set: SoftSet) -> str:
 
     With no parameters only the header line is produced.
     """
-    header = ["U"] + [p.label for p in soft_set.parameters]
     if not soft_set.parameters:
-        return header[0]
-    columns = [
-        [
+        return "U"
+    columns = [["U", *soft_set.universe]]
+    for p in soft_set.parameters:
+        cells = [
             f"({GRADE_TEXTS[t]}, {GRADE_TEXTS[i]}, {GRADE_TEXTS[f]})"
             for t, i, f in zip(*soft_set.value_set(p)._columns)
         ]
-        for p in soft_set.parameters
-    ]
-    return format_grid(header, [[element, *cells] for element, *cells in zip(soft_set.universe, *columns)])
+        columns.append([p.label, *cells])
+    return format_grid(columns)

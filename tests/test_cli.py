@@ -5,6 +5,7 @@ import sys
 import pytest
 from helpers import fixture
 
+import inss.cli
 from inss.cli import main, split_parameter_list
 
 DECIDE_GOLDEN = """\
@@ -202,6 +203,9 @@ class TestDecide:
         code_again, out_again, _ = run(capsys, *args)
         assert (code_again, out_again) == (code, out)
 
+    def test_ci_fixture_holds_the_same_report(self):
+        assert fixture("shopping_decide.txt").read_text(encoding="utf-8") == DECIDE_GOLDEN
+
     def test_without_reference_or_audit_sections(self, capsys):
         code, out, _ = run(capsys, "decide", fixture("shopping.json"))
         assert code == 0
@@ -295,6 +299,60 @@ class TestLoneSurrogates:
         assert code == 1
         assert out == ""
         assert err == f"error: ParseError: {message}\n"
+
+
+class TestParserReuse:
+    """Consecutive ``main`` calls in one process leave nothing behind."""
+
+    def test_params_do_not_stick(self, capsys):
+        code, out, _ = run(capsys, "decide", fixture("shopping.json"), "--params", "Cheap")
+        assert code == 0
+        assert "U   Cheap\n" in out
+        code, out, _ = run(capsys, "decide", fixture("shopping.json"))
+        assert code == 0
+        assert "U   Bright      Costly      Polystyreneing  Colorful    Cheap\n" in out
+
+    def test_out_file_does_not_stick(self, capsys, tmp_path):
+        left, right = fixture("qualities_a.json"), fixture("qualities_b.json")
+        expected = fixture("qualities_union.json").read_text(encoding="utf-8")
+        target = tmp_path / "union.json"
+        assert run(capsys, "union", left, right, "-o", target) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == expected
+        target.unlink()
+        assert run(capsys, "union", left, right) == (0, expected, "")
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("union", "union"),
+            ("intersect", "intersection"),
+            ("and", "and_op"),
+            ("or", "or_op"),
+            ("subset", "is_subset"),
+            ("equals", "equals"),
+        ],
+    )
+    def test_operations_are_looked_up_per_call(self, capsys, monkeypatch, command, name):
+        """A name rebound on ``inss.cli`` after the parser exists is the one called."""
+        left, right = fixture("qualities_a.json"), fixture("qualities_b.json")
+        first = run(capsys, command, left, right)
+        original, calls = getattr(inss.cli, name), []
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(inss.cli, name, wrapper)
+        assert run(capsys, command, left, right) == first
+        assert calls == [name]
+
+
+class TestImports:
+    def test_cli_import_leaves_the_oracle_out(self):
+        code = "import sys, inss.cli; print('inss.oracle' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
 
 class TestModuleEntryPoint:

@@ -2,13 +2,14 @@ import json
 import random
 
 import pytest
-from helpers import fixture, random_soft_set
+from helpers import FOUR_DECIMAL, PARAM_POOL, fine_soft_set, fixture, random_soft_set
 
 from inss import (
     CellAudit,
     DecisionTable,
     EmptyParameterSet,
     EmptyUniverse,
+    ComparisonMatrix,
     Grade,
     GradeTriple,
     Parameter,
@@ -21,6 +22,7 @@ from inss import (
     scores,
     select_best,
 )
+from inss.oracle import oracle_matrix
 
 EXPECTED_MATRIX = {
     "b1": (0, -2, 3, 4, 2),
@@ -30,6 +32,23 @@ EXPECTED_MATRIX = {
     "b5": (1, 2, 6, -1, 3),
 }
 EXPECTED_SCORES = (7, 2, 11, 19, 11)
+SHOPPING_REPORT = {
+    "objects": ["b1", "b2", "b3", "b4", "b5"],
+    "parameters": ["Bright", "Costly", "Polystyreneing", "Colorful", "Cheap"],
+    "matrix": [[0, -2, 3, 4, 2], [-1, 1, -2, 2, 2], [3, 5, 0, 4, -1], [6, 3, 3, 3, 4], [1, 2, 6, -1, 3]],
+    "audits": [
+        [[1, 2, 3], [2, 0, 4], [2, 3, 2], [4, 2, 2], [1, 3, 2]],
+        [[3, 0, 4], [3, 1, 3], [1, 1, 4], [0, 4, 2], [4, 0, 2]],
+        [[4, 2, 3], [4, 2, 1], [0, 4, 4], [2, 2, 0], [2, 1, 4]],
+        [[3, 3, 0], [1, 4, 2], [4, 1, 2], [4, 3, 4], [4, 3, 3]],
+        [[0, 4, 3], [0, 3, 1], [3, 3, 0], [1, 2, 4], [1, 4, 2]],
+    ],
+    "scores": [7, 2, 11, 19, 11],
+    "ranking": ["b4", "b3", "b5", "b1", "b2"],
+    "best": "b4",
+    "tied": False,
+    "reference_diff": None,
+}
 
 
 def triple(t, i, f):
@@ -91,6 +110,44 @@ class TestWorkedExample:
         assert data["audits"][3][0] == [3, 3, 0]
         assert data["reference_diff"] is None
         json.dumps(data)
+
+    def test_report_dict_in_full(self, shopping):
+        assert select_best(shopping).to_dict() == SHOPPING_REPORT
+
+
+class TestMatrixStorage:
+    """The public constructor and ``comparison_matrix`` must build equal matrices."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        rng = random.Random(20261018)
+        universe = [f"e{k}" for k in range(200)]
+        pool = rng.sample(FOUR_DECIMAL, 60)  # few distinct grades, so many ties
+        return DecisionTable(fine_soft_set(rng, universe, [Parameter(n) for n in PARAM_POOL], pool))
+
+    def test_oracle_and_production_matrices_are_equal_and_hash_alike(self, table):
+        expected = oracle_matrix(table)
+        matrix = comparison_matrix(table)
+        assert len(matrix.objects) == 200 and len(matrix.parameters) == 6
+        assert expected == matrix and matrix == expected
+        assert hash(expected) == hash(matrix)
+        assert expected.entries == matrix.entries
+        assert expected.audits == matrix.audits
+        assert expected.column_sums == matrix.column_sums
+        assert len({expected, matrix}) == 1
+
+    def test_constructor_round_trips_the_audits(self, table):
+        matrix = comparison_matrix(table)
+        rebuilt = ComparisonMatrix(matrix.objects, matrix.parameters, matrix.audits)
+        assert rebuilt == matrix and hash(rebuilt) == hash(matrix)
+        assert rebuilt.entries == tuple(tuple(cell.value for cell in row) for row in matrix.audits)
+
+    def test_one_changed_count_breaks_equality(self, table):
+        audits = [list(row) for row in comparison_matrix(table).audits]
+        cell = audits[7][2]
+        audits[7][2] = CellAudit(cell.truth_wins, cell.indeterminacy_wins, cell.falsity_wins + 1)
+        changed = ComparisonMatrix(table.objects, table.parameters, tuple(map(tuple, audits)))
+        assert changed != comparison_matrix(table)
 
 
 class TestChoice:
