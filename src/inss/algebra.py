@@ -94,7 +94,9 @@ class CompoundParameter:
     """A pair of parameters produced by the AND / OR products.
 
     Negation distributes over the pair, so a compound never carries its own
-    flag.
+    flag.  Equality, hashing, ``label`` and ``negate`` recurse down the pair:
+    products chained in Python far past a document's 100 levels (about 500
+    on CPython 3.11) reach the interpreter's recursion limit.
     """
 
     left: "Parameter | CompoundParameter"

@@ -228,9 +228,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InssError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    except RecursionError:  # parameters nested deeper than an operation can follow
-        print("error: parameters nested too deeply", file=sys.stderr)
-        return 1
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

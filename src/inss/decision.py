@@ -232,7 +232,7 @@ class ScoreVector:
 def scores(matrix: ComparisonMatrix) -> ScoreVector:
     """Sum each object's row; rank by descending score, earliest object first on ties."""
     totals = tuple(map(sum, matrix.entries))
-    order = sorted(range(len(totals)), key=lambda i: (-totals[i], i))
+    order = sorted(range(len(totals)), key=totals.__getitem__, reverse=True)
     return ScoreVector(matrix.objects, totals, tuple(matrix.objects[i] for i in order))
 
 

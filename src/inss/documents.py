@@ -52,6 +52,10 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
+# Compound parameters nest at most this deep; a product of two such documents
+# stays well inside what the recursive walks of CompoundParameter can follow.
+_MAX_NESTING = 100
+
 
 def _read_json(source: str | Path) -> object:
     """The JSON value in a UTF-8 file (other bytes are an OSError); no object may repeat a key."""
@@ -92,7 +96,7 @@ def _check_document(doc: object, required: set[str], where: str) -> None:
         raise ParseError(f"{where}: unsupported format_version {version!r}")
 
 
-def _param_from_spec(spec: object, where: str) -> ParamLike:
+def _param_from_spec(spec: object, where: str, depth: int = 0) -> ParamLike:
     if not isinstance(spec, dict):
         raise ParseError(f"{where}: parameter must be an object, got {spec!r}")
     if set(spec) == {"name", "negated"}:
@@ -105,9 +109,11 @@ def _param_from_spec(spec: object, where: str) -> ParamLike:
             raise ParseError(f"{where}.negated: must be true or false")
         return param
     if set(spec) == {"left", "right"}:
+        if depth == _MAX_NESTING:
+            raise ParseError(f"{where}: compound parameters nested too deeply (limit {_MAX_NESTING} levels)")
         return CompoundParameter(
-            _param_from_spec(spec["left"], f"{where}.left"),
-            _param_from_spec(spec["right"], f"{where}.right"),
+            _param_from_spec(spec["left"], f"{where}.left", depth + 1),
+            _param_from_spec(spec["right"], f"{where}.right", depth + 1),
         )
     raise ParseError(
         f"{where}: expected keys {{'name', 'negated'}} or {{'left', 'right'}}, got {sorted(spec)}"
@@ -141,9 +147,10 @@ def _value_set(label: str, cells: dict, universe: tuple[str, ...], check_grades:
 
     try:
         for element in universe:
-            if element not in cells:
-                raise ParseError(f"grades['{label}']: missing element '{element}'")
-            cell = cells[element]
+            try:
+                cell = cells[element]
+            except KeyError:
+                raise ParseError(f"grades['{label}']: missing element '{element}'") from None
             if not isinstance(cell, list) or len(cell) != 3:
                 raise ParseError(f"grades['{label}']['{element}']: expected [truth, indeterminacy, falsity]")
             try:
@@ -180,14 +187,7 @@ def load_soft_set(source: str | Path, *, check_grades: bool = True) -> SoftSet:
     still parsed strictly.
     """
     doc = _read_json(source)
-    try:
-        return _soft_set(doc, str(source), check_grades)
-    except RecursionError:
-        raise ParseError(f"{source}: parameters nested too deeply") from None
-
-
-def _soft_set(doc: object, source: str, check_grades: bool) -> SoftSet:
-    _check_document(doc, {"format_version", "universe", "parameters", "grades"}, source)
+    _check_document(doc, {"format_version", "universe", "parameters", "grades"}, str(source))
 
     universe_raw = doc["universe"]
     if not isinstance(universe_raw, list):

@@ -81,7 +81,7 @@ class Grade:
         """Read a grade from text, an int, a float, or a Decimal (see :func:`grade_ticks`)."""
         if isinstance(value, Grade):
             return value
-        return cls(grade_ticks(value, what))
+        return shared_grade(grade_ticks(value, what))
 
     @property
     def text(self) -> str:
@@ -199,14 +199,8 @@ ZERO_TRIPLE = GradeTriple(Grade(0), Grade(0), Grade(0))
 
 def validate_triple(truth: object, indeterminacy: object, falsity: object) -> GradeTriple:
     """Parse three raw values and return the validated triple they form."""
-    return GradeTriple(
-        _grade(truth, "truth"), _grade(indeterminacy, "indeterminacy"), _grade(falsity, "falsity")
-    )
-
-
-def _grade(value: object, what: str) -> Grade:
-    """``value`` itself if it is a Grade, else the shared Grade of its ticks."""
-    return value if isinstance(value, Grade) else shared_grade(grade_ticks(value, what))
+    parse = Grade.parse
+    return GradeTriple(parse(truth, "truth"), parse(indeterminacy, "indeterminacy"), parse(falsity, "falsity"))
 
 
 def complement_triple(triple: GradeTriple) -> GradeTriple:

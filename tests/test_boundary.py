@@ -51,6 +51,25 @@ def doc_with(universe, parameters, grades):
 BRIGHT = {"name": "bright", "negated": False}
 
 
+ALL_COMMANDS = ("validate", "show", "complement", "union", "intersect", "subset", "equals", "and", "or", "decide")
+ONE_FILE_COMMANDS = {"validate", "show", "complement", "decide"}
+EXTRA_FRAMES = 300
+
+
+def run_beneath(frames, *argv):
+    """``run`` called ``frames`` Python frames deeper than this call."""
+    return run_beneath(frames - 1, *argv) if frames else run(*argv)
+
+
+def chained_product_document(depth):
+    """One parameter ``depth`` products deep, along the left, over two elements."""
+    spec = '{"name": "a", "negated": false}'
+    spec = '{"left": ' * depth + spec + ', "right": {"name": "b", "negated": false}}' * depth
+    label = "(" * depth + "a" + ", b)" * depth
+    grades = f'{{"{label}": {{"x": ["0", "0", "0"], "y": ["1", "0", "0"]}}}}'
+    return f'{{"format_version": 1, "universe": ["x", "y"], "parameters": [{spec}], "grades": {grades}}}'
+
+
 class TestRepeatedChoices:
     def test_restrict_rejects_a_repeated_parameter(self):
         shopping = load_soft_set(fixture("shopping.json"))
@@ -199,7 +218,7 @@ class TestStrictJson:
         code, _, err = run("decide", fixture("shopping.json"), "--reference-matrix", path)
         assert code == 2 and err.startswith("error: ")
 
-    @pytest.mark.parametrize("depth", [3000, 100_000])
+    @pytest.mark.parametrize("depth", [20_000, 100_000])
     def test_nesting_too_deep_for_the_decoder(self, tmp_path, depth):
         path = write(tmp_path, '{"format_version": 1, "universe": ' + "[" * depth + "]" * depth + "}")
         with pytest.raises(ParseError, match="nested too deeply"):
@@ -207,23 +226,34 @@ class TestStrictJson:
         code, _, err = run("validate", path)
         assert code == 1 and err.startswith("error: ParseError:")
 
-    @pytest.mark.parametrize("depth", [1, 200, 350, 400, 450, 500, 600, 800, 1000, 1200, 3000])
+    @pytest.mark.parametrize(
+        "depth", [1, 50, 99, 100, 101, 200, 350, 400, 450, 500, 600, 800, 990, 1000, 1200, 3000]
+    )
     def test_deep_compound_parameters_end_cleanly(self, tmp_path, depth):
-        # Deep enough, a product parameter breaks the interpreter's recursion
-        # limit: first in operations, then while loading, then while decoding.
-        spec = '{"name": "a", "negated": false}'
-        spec = '{"left": ' * depth + spec + ', "right": {"name": "b", "negated": false}}' * depth
-        label = "(" * depth + "a" + ", b)" * depth
-        grades = f'{{"{label}": {{"x": ["0", "0", "0"], "y": ["1", "0", "0"]}}}}'
-        text = f'{{"format_version": 1, "universe": ["x", "y"], "parameters": [{spec}], "grades": {grades}}}'
-        path = write(tmp_path, text)
-        try:
+        # A document nests compound parameters at most 100 levels; every command
+        # reads it, or refuses it at load, even from deep in a caller's stack.
+        path = write(tmp_path, chained_product_document(depth))
+        if depth <= 100:
             load_soft_set(path)
-        except ParseError as err:
-            assert "nested too deeply" in str(err)
-        for command in (["union", path, path], ["decide", path]):
-            code, _, err = run(*command)
-            assert code == 0 or (code == 1 and err.startswith("error: "))
+        else:
+            with pytest.raises(ParseError, match="nested too deeply"):
+                load_soft_set(path)
+        for command in ALL_COMMANDS:
+            args = [command, path] if command in ONE_FILE_COMMANDS else [command, path, path]
+            code, _, err = run_beneath(EXTRA_FRAMES, *args)
+            if depth <= 100:
+                assert (command, code, err) == (command, 0, "")
+            else:
+                assert (command, code) == (command, 1)
+                assert err.startswith("error: ParseError:") and "nested too deeply" in err
+
+    def test_product_of_two_deepest_documents_is_one_level_too_deep(self, tmp_path):
+        path = write(tmp_path, chained_product_document(100))
+        out = tmp_path / "product.json"
+        assert run_beneath(EXTRA_FRAMES, "and", path, path, "--out", out) == (0, "", "")
+        code, _, err = run_beneath(EXTRA_FRAMES, "validate", out)
+        assert code == 1
+        assert err.startswith("error: ParseError: parameters[0].left") and "nested too deeply" in err
 
 
 def test_empty_params_is_an_empty_parameter_set():

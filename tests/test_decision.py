@@ -1,5 +1,6 @@
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from helpers import FOUR_DECIMAL, PARAM_POOL, fine_soft_set, fixture, random_soft_set
@@ -213,6 +214,19 @@ class TestSmallCases:
         cells = [triple(5000, 2000, 6000), triple(5000, 2000, 1000)]
         report = select_best(column(["worse", "better"], cells))
         assert report.best == "better"
+
+
+class TestRanking:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ties_keep_universe_order(self, seed):
+        rng = random.Random(seed)
+        objects = tuple(rng.sample([f"o{k}" for k in range(1000)], 200))
+        score = {o: rng.randint(0, 5) for o in objects}
+        position = {o: k for k, o in enumerate(objects)}
+        # scores() reads only the objects and the rows of the matrix it is given
+        matrix = SimpleNamespace(objects=objects, entries=tuple((score[o],) for o in objects))
+        expected = tuple(sorted(objects, key=lambda o: (-score[o], position[o])))
+        assert scores(matrix).ranking == expected
 
 
 class TestReference:
