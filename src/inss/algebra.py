@@ -13,24 +13,28 @@ Combination rules on shared parameters:
 These rules (and complement's swap of truth with falsity) preserve the
 triple validity bounds, so closure holds by construction.
 
-Each value set is stored as three aligned columns of tick counts (truth,
-indeterminacy, falsity) in universe order, plain lists of ints, and every
-operation works column-wise on those integers.  Columns are never changed
-once built, so value sets share them freely: complement reuses its
-operand's lists, and a product's value sets are slices of one result per
-left parameter.  A value set also records whether its cells are known to
-be valid: a result computed from valid value sets is valid without a
-check, and any other result is checked in bulk, raising
-ConstraintViolation for its first bad cell.  GradeTriple objects are built
-from the columns only when a caller looks a cell up.
+Each value set is stored as three aligned ``array("H")`` columns of tick
+counts (truth, indeterminacy, falsity) in universe order, and every
+operation packs each column into one int and works on all its cells at once
+with the lane kernels of :mod:`inss.grades`.  Columns are never changed once
+built, so value sets share them freely: complement reuses its operand's
+arrays, and a product's value sets are slices of one result array per
+component.  A value set also records whether its cells are known to be
+valid: a result computed from valid value sets is valid without a check,
+and any other result is checked in bulk, raising ConstraintViolation for its
+first bad cell.  GradeTriple objects are built from the columns only when a
+caller looks a cell up.
+
+Parameters are small immutable objects compared by structure.  Each
+computes its label and hash once, at construction, from its children's, so
+a product's new compound parameters cost the same at any nesting depth.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
-from operator import gt, lt
 from types import MappingProxyType
 
 from .errors import (
@@ -40,8 +44,20 @@ from .errors import (
     EmptyParameterIntersection,
     UniverseMismatch,
     UnknownParameter,
+    clipped,
 )
-from .grades import COMPONENTS, GradeTriple, first_violation, triples_from_ticks
+from .grades import (
+    COMPONENTS,
+    GradeTriple,
+    at_least,
+    first_violation,
+    guards,
+    larger,
+    pack,
+    smaller,
+    triples_from_ticks,
+    unpack,
+)
 
 __all__ = [
     "Parameter",
@@ -65,54 +81,110 @@ __all__ = [
 _lone_surrogate = re.compile("[\ud800-\udfff]").search
 
 
-@dataclass(frozen=True)
-class Parameter:
-    """A named attribute, possibly carrying a negation flag."""
+class _Immutable:
+    """Instances refuse attribute assignment and deletion once built."""
 
-    name: str
-    negated: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise ValueError(f"parameter name must be a non-empty string, got {self.name!r}")
-        if _lone_surrogate(self.name):
-            raise ValueError(f"parameter name must not contain a lone surrogate, got {self.name!r}")
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Parameter(_Immutable):
+    """A named attribute, possibly carrying a negation flag.
+
+    ``negated`` must be a real bool, since the hash is taken at construction.
+    """
+
+    __slots__ = ("name", "negated", "label", "_hash")
+
+    def __init__(self, name: str, negated: bool = False) -> None:
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"parameter name must be a non-empty string, got {clipped(repr(name))}")
+        if _lone_surrogate(name):
+            raise ValueError(f"parameter name must not contain a lone surrogate, got {clipped(repr(name))}")
+        if negated.__class__ is not bool:
+            raise TypeError(f"parameter negation must be True or False, got {clipped(repr(negated))}")
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "negated", negated)
+        init(self, "label", f"not {name}" if negated else name)
+        init(self, "_hash", hash((name, negated)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.negated == other.negated
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Parameter(name={self.name!r}, negated={self.negated!r})"
+
+    def __reduce__(self) -> tuple:
+        return Parameter, (self.name, self.negated)
 
     def negate(self) -> "Parameter":
         return Parameter(self.name, not self.negated)
-
-    @property
-    def label(self) -> str:
-        return f"not {self.name}" if self.negated else self.name
 
     def sort_key(self) -> tuple:
         return (0, self.name, self.negated)
 
 
-@dataclass(frozen=True)
-class CompoundParameter:
+class CompoundParameter(_Immutable):
     """A pair of parameters produced by the AND / OR products.
 
     Negation distributes over the pair, so a compound never carries its own
-    flag.  Equality, hashing, ``label`` and ``negate`` recurse down the pair:
-    products chained in Python far past a document's 100 levels (about 500
-    on CPython 3.11) reach the interpreter's recursion limit.
+    flag.  ``label`` and the hash are built from the pair's own at
+    construction, so building, hashing and indexing a compound never
+    recurses (each level of a chain keeps its own label: O(depth²)
+    characters in all).  Equality between separately built trees,
+    ``negate`` and ``sort_key`` do recurse down the pair, so products
+    chained in Python far past a document's 100 levels (about 500 on
+    CPython 3.11) reach the interpreter's recursion limit there.
     """
 
-    left: "Parameter | CompoundParameter"
-    right: "Parameter | CompoundParameter"
+    __slots__ = ("left", "right", "label", "_hash")
+
+    def __init__(self, left: "ParamLike", right: "ParamLike") -> None:
+        try:
+            label, digest = f"({left.label}, {right.label})", hash((left._hash, right._hash))
+        except AttributeError:
+            raise TypeError(f"not a pair of parameters: {clipped(repr(left))}, {clipped(repr(right))}") from None
+        init = object.__setattr__
+        init(self, "left", left)
+        init(self, "right", right)
+        init(self, "label", label)
+        init(self, "_hash", digest)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash and self.left == other.left and self.right == other.right
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"CompoundParameter(left={self.left!r}, right={self.right!r})"
+
+    def __reduce__(self) -> tuple:
+        return CompoundParameter, (self.left, self.right)
 
     def negate(self) -> "CompoundParameter":
         return CompoundParameter(self.left.negate(), self.right.negate())
-
-    @property
-    def label(self) -> str:
-        return f"({self.left.label}, {self.right.label})"
 
     def sort_key(self) -> tuple:
         return (1, self.left.sort_key(), self.right.sort_key())
 
 
+_PARAMETERS = (Parameter, CompoundParameter)
 ParamLike = Parameter | CompoundParameter
 
 
@@ -121,15 +193,15 @@ def not_parameters(parameters: Iterable[ParamLike]) -> tuple[ParamLike, ...]:
     return tuple(p.negate() for p in parameters)
 
 
-Columns = tuple  # (truth, indeterminacy, falsity) tick counts, each in universe order
+Columns = tuple  # (truth, indeterminacy, falsity) array("H") tick columns, each in universe order
 
 
 class InsSet(Mapping):
     """A total assignment of grade triples over an ordered universe.
 
-    The grades are held as three lists of tick counts, never changed once
-    built; the GradeTriple objects are built the first time an element is
-    looked up.
+    The grades are held as three ``array("H")`` columns of tick counts,
+    never changed once built; the GradeTriple objects are built the first
+    time an element is looked up.
     """
 
     __slots__ = ("_universe", "_columns", "_valid", "_cells")
@@ -151,14 +223,14 @@ class InsSet(Mapping):
                 raise TypeError(f"value for {element!r} is not a GradeTriple")
         given = [triples[e] for e in self._universe]
         self._columns = tuple(
-            [getattr(triple, name).ten_thousandths for triple in given] for name in COMPONENTS
+            array("H", [getattr(triple, name).ten_thousandths for triple in given]) for name in COMPONENTS
         )
         self._valid = first_violation(*self._columns) is None
         self._cells = None
 
     @classmethod
     def _of(cls, universe: tuple[str, ...], columns: Columns, valid: bool) -> "InsSet":
-        """A value set over ``universe`` holding the given lists of ticks,
+        """A value set over ``universe`` holding the given tick columns,
         which it keeps without copying; ``valid`` says whether every cell is
         known to meet the joint bounds."""
         self = cls.__new__(cls)
@@ -217,8 +289,8 @@ def label_index(parameters: Iterable[ParamLike]) -> dict[str, ParamLike]:
     """Parameters by display label, in order; no parameter or label may repeat."""
     by_label: dict[str, ParamLike] = {}
     for index, param in enumerate(parameters):
-        if not isinstance(param, (Parameter, CompoundParameter)):
-            raise TypeError(f"not a parameter: {param!r}")
+        if not isinstance(param, _PARAMETERS):
+            raise TypeError(f"not a parameter: {clipped(repr(param))}")
         label = param.label
         if label in by_label:
             known = by_label[label]
@@ -334,20 +406,14 @@ def _require_same_universe(left: SoftSet, right: SoftSet) -> None:
         )
 
 
-def _larger(a, b) -> list[int]:
-    return [x if x >= y else y for x, y in zip(a, b)]
+def _join(a: tuple, b: tuple, guard: int) -> tuple:
+    """Max truth, min indeterminacy, min falsity of packed columns."""
+    return (larger(a[0], b[0], guard), smaller(a[1], b[1], guard), smaller(a[2], b[2], guard))
 
 
-def _smaller(a, b) -> list[int]:
-    return [x if x <= y else y for x, y in zip(a, b)]
-
-
-def _join(a: Columns, b: Columns) -> Columns:
-    return (_larger(a[0], b[0]), _smaller(a[1], b[1]), _smaller(a[2], b[2]))
-
-
-def _meet(a: Columns, b: Columns) -> Columns:
-    return (_smaller(a[0], b[0]), _smaller(a[1], b[1]), _larger(a[2], b[2]))
+def _meet(a: tuple, b: tuple, guard: int) -> tuple:
+    """Min truth, min indeterminacy, max falsity of packed columns."""
+    return (smaller(a[0], b[0], guard), smaller(a[1], b[1], guard), larger(a[2], b[2], guard))
 
 
 def _checked(columns: Columns, from_valid: bool) -> Columns:
@@ -359,12 +425,15 @@ def _checked(columns: Columns, from_valid: bool) -> Columns:
     return columns
 
 
-def _result(universe: tuple[str, ...], columns: Columns, from_valid: bool) -> InsSet:
-    return InsSet._of(universe, _checked(columns, from_valid), True)
+def _combined(ours: tuple, theirs: tuple, count: int, rule) -> Columns:
+    """``rule`` applied to two triples of packed columns of ``count`` cells, unpacked."""
+    return tuple(unpack(lanes, count) for lanes in rule(ours, theirs, guards(count)))
 
 
 def _combine(ours: InsSet, theirs: InsSet, rule) -> InsSet:
-    return _result(ours.universe, rule(ours._columns, theirs._columns), ours._valid and theirs._valid)
+    universe = ours._universe
+    columns = _combined(tuple(map(pack, ours._columns)), tuple(map(pack, theirs._columns)), len(universe), rule)
+    return InsSet._of(universe, _checked(columns, ours._valid and theirs._valid), True)
 
 
 def is_subset(left: SoftSet, right: SoftSet) -> bool:
@@ -373,9 +442,11 @@ def is_subset(left: SoftSet, right: SoftSet) -> bool:
     _require_same_universe(left, right)
     if any(not right.has_parameter(p) for p in left.parameters):
         return False
+    guard = guards(len(left.universe))
     for param in left.parameters:
-        (ta, ia, fa), (tb, ib, fb) = left._family[param]._columns, right._family[param]._columns
-        if any(map(gt, ta, tb)) or any(map(gt, ia, ib)) or any(map(lt, fa, fb)):
+        ta, ia, fa = map(pack, left._family[param]._columns)
+        tb, ib, fb = map(pack, right._family[param]._columns)
+        if not (at_least(tb, ta, guard) and at_least(ib, ia, guard) and at_least(fa, fb, guard)):
             return False
     return True
 
@@ -390,7 +461,8 @@ def complement(soft_set: SoftSet) -> SoftSet:
     family = {}
     for param, value_set in soft_set._family.items():
         truth, indeterminacy, falsity = value_set._columns
-        family[param.negate()] = _result(soft_set.universe, (falsity, indeterminacy, truth), value_set._valid)
+        columns = _checked((falsity, indeterminacy, truth), value_set._valid)
+        family[param.negate()] = InsSet._of(soft_set.universe, columns, True)
     return SoftSet._of(soft_set.universe, tuple(family), family)
 
 
@@ -428,27 +500,27 @@ def intersection(left: SoftSet, right: SoftSet) -> SoftSet:
 
 
 def _product(left: SoftSet, right: SoftSet, rule) -> SoftSet:
-    """One pass per left parameter against all of right's columns laid end to
-    end; each pair's value set is a slice of that row's result.
+    """One lane operation per component over every pair at once.
 
-    A row is checked as a whole, so its first bad cell is also the first in
-    row-major pair order: pairs of valid value sets are valid by closure.
+    Each left column is repeated once per right parameter, and right's
+    columns, laid end to end, are repeated once per left parameter, so lane
+    block ``a * len(right) + b`` holds pair (a, b) and each pair's value set
+    is a slice of the result.  The result is checked as a whole, so its first bad
+    cell is also the first in row-major pair order: pairs of valid value
+    sets are valid by closure.
     """
     _require_same_universe(left, right)
     universe, size = left.universe, len(left.universe)
-    theirs = right._family.values()
+    ours, theirs = left._family.values(), right._family.values()
     count = len(theirs)
-    flat = tuple([tick for value_set in theirs for tick in value_set._columns[k]] for k in range(3))
-    all_valid = all(value_set._valid for value_set in theirs)
-    spans = [(k * size, (k + 1) * size) for k in range(count)]
-    family = {}
-    for a, ours in left._family.items():
-        repeated = tuple(column * count for column in ours._columns)
-        t, i, f = _checked(rule(repeated, flat), ours._valid and all_valid)
-        for b, (start, stop) in zip(right._family, spans):
-            columns = (t[start:stop], i[start:stop], f[start:stop])
-            family[CompoundParameter(a, b)] = InsSet._of(universe, columns, True)
-    return SoftSet._of(universe, tuple(family), family)
+    left_lanes = tuple(pack(b"".join([vs._columns[k].tobytes() * count for vs in ours])) for k in range(3))
+    right_lanes = tuple(pack(b"".join([vs._columns[k].tobytes() for vs in theirs]) * len(ours)) for k in range(3))
+    valid = all(vs._valid for vs in ours) and all(vs._valid for vs in theirs)
+    t, i, f = _checked(_combined(left_lanes, right_lanes, size * len(ours) * count, rule), valid)
+    pairs = tuple([CompoundParameter(a, b) for a in left._family for b in right._family])
+    starts = [k * size for k in range(len(pairs))]
+    value_sets = [InsSet._of(universe, (t[s : s + size], i[s : s + size], f[s : s + size]), True) for s in starts]
+    return SoftSet._of(universe, pairs, dict(zip(pairs, value_sets)))
 
 
 def and_op(left: SoftSet, right: SoftSet) -> SoftSet:

@@ -203,6 +203,7 @@ def _win_counts(column) -> tuple[int, ...]:
     Mapping each value to its last position in sorted order gives exactly
     that count.
     """
+    column = column.tolist()  # list items are read without making new ints
     last = dict(zip(sorted(column), range(len(column))))
     return tuple(map(last.__getitem__, column))
 

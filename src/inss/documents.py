@@ -32,12 +32,13 @@ Reference matrices (for auditing a computed comparison matrix) use:
 from __future__ import annotations
 
 import json
+from array import array
 from itertools import repeat
 from pathlib import Path
 
 from .algebra import CompoundParameter, InsSet, ParamLike, Parameter, SoftSet, checked_universe, label_index
 from .decision import ReferenceMatrix
-from .errors import ConstraintViolation, OutOfRange, ParseError, PrecisionLoss
+from .errors import ConstraintViolation, OutOfRange, ParseError, PrecisionLoss, clipped
 from .grades import _TICKS_BY_TEXT, GRADE_TEXTS, first_violation, grade_ticks
 
 __all__ = [
@@ -79,6 +80,8 @@ def _read_json(source: str | Path) -> object:
         ) from None
     except RecursionError:
         raise ParseError(f"{source}: JSON nested too deeply") from None
+    except ValueError:  # an integer longer than int() converts (sys.get_int_max_str_digits)
+        raise ParseError(f"{source}: invalid JSON: an integer has too many digits") from None
 
 
 def _check_document(doc: object, required: set[str], where: str) -> None:
@@ -93,21 +96,19 @@ def _check_document(doc: object, required: set[str], where: str) -> None:
         raise ParseError(f"{where}: unexpected key(s) {extra}")
     version = doc["format_version"]
     if isinstance(version, bool) or version != FORMAT_VERSION:
-        raise ParseError(f"{where}: unsupported format_version {version!r}")
+        raise ParseError(f"{where}: unsupported format_version {clipped(repr(version))}")
 
 
 def _param_from_spec(spec: object, where: str, depth: int = 0) -> ParamLike:
     if not isinstance(spec, dict):
-        raise ParseError(f"{where}: parameter must be an object, got {spec!r}")
+        raise ParseError(f"{where}: parameter must be an object, got {clipped(repr(spec))}")
     if set(spec) == {"name", "negated"}:
-        name, negated = spec["name"], spec["negated"]
-        try:
-            param = Parameter(name, negated)
+        try:  # Parameter checks the name before the flag
+            return Parameter(spec["name"], spec["negated"])
         except ValueError as err:
             raise ParseError(f"{where}.name: {err}") from None
-        if not isinstance(negated, bool):
-            raise ParseError(f"{where}.negated: must be true or false")
-        return param
+        except TypeError:
+            raise ParseError(f"{where}.negated: must be true or false") from None
     if set(spec) == {"left", "right"}:
         if depth == _MAX_NESTING:
             raise ParseError(f"{where}: compound parameters nested too deeply (limit {_MAX_NESTING} levels)")
@@ -130,7 +131,9 @@ def _value_set(label: str, cells: dict, universe: tuple[str, ...], check_grades:
     """Translate one parameter's grades into tick columns.
 
     Errors come in reading order: cells in universe order, and within a cell
-    its grades before its joint bounds.
+    its grades before its joint bounds.  The ticks are collected in lists
+    (appending to a list is cheaper than to an array) and each column
+    becomes an ``array("H")`` once, before the bounds check.
     """
     columns = ([], [], [])
     truth, indeterminacy, falsity = (column.append for column in columns)
@@ -170,6 +173,7 @@ def _value_set(label: str, cells: dict, universe: tuple[str, ...], check_grades:
             falsity(f)
     finally:
         # Also on the way out of an error, so a bad cell before it wins.
+        columns = tuple(array("H", column) for column in columns)
         problem = first_violation(*columns)
         if check_grades and problem is not None:
             position, message = problem
@@ -260,7 +264,7 @@ def serialize_soft_set(soft_set: SoftSet) -> str:
     by_label = {p.label: p for p in soft_set.parameters}
     blocks = []
     for label in sorted(by_label):
-        t, i, f = soft_set.value_set(by_label[label])._columns
+        t, i, f = (column.tolist() for column in soft_set.value_set(by_label[label])._columns)
         cells = ",\n".join(
             f'      {keys[k]}: [\n        "{text[t[k]]}",\n        "{text[i[k]]}",\n'
             f'        "{text[f[k]]}"\n      ]'
@@ -300,7 +304,7 @@ def load_reference_matrix(source: str | Path) -> ReferenceMatrix:
             raise ParseError(f"entries[{index}]: must be a list of integers")
         for value in row:
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ParseError(f"entries[{index}]: values must be integers, got {value!r}")
+                raise ParseError(f"entries[{index}]: values must be integers, got {clipped(repr(value))}")
     try:  # the row and column counts are the constructor's to check
         return ReferenceMatrix(tuple(objects), tuple(labels), tuple(map(tuple, entries)))
     except ValueError as err:

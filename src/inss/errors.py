@@ -76,3 +76,13 @@ class ReferenceMismatch(InssError):
 
 class UnknownLaw(InssError):
     """The law checker was asked about an identity it does not know."""
+
+
+# Error messages quote at most this many characters of an offending value.
+QUOTE_LIMIT = 80
+
+
+def clipped(text: str) -> str:
+    """``text`` for an error message: whole when short, else its first
+    ``QUOTE_LIMIT`` characters followed by "..."."""
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."

@@ -17,9 +17,19 @@ exactly when two components exceed one half, and they already cap the sum at
 2.
 
 The soft-set core does not hold these objects: it keeps each value set as
-three aligned columns of tick counts and checks them in bulk with
-:func:`first_violation`.  :func:`triples_from_ticks` builds the public objects
-from ticks when a caller asks for a cell.
+three aligned ``array("H")`` columns of tick counts and checks them in bulk
+with :func:`first_violation`.  :func:`triples_from_ticks` builds the public
+objects from ticks when a caller asks for a cell.
+
+Column kernels run on packed lanes: :func:`pack` reads a column as one int
+holding one tick per 16-bit lane, in the machine's byte order, and
+:func:`unpack` turns such an int back into a column.  Ticks stay below
+2**15, so bit 15 of every lane is free as a guard bit: with ``G`` that bit
+in every lane, ``((x | G) - y) & G`` marks the lanes where x >= y, and no
+borrow crosses from one lane into the next.  :func:`larger`,
+:func:`smaller` and :func:`at_least` build on that mark, so elementwise
+max, min and comparison each cost a handful of big-int operations, whatever
+the column's length.
 
 There are exactly 10001 grades, each with one canonical text; two immutable
 tables shared by the whole process translate between them: ``GRADE_TEXTS``
@@ -31,11 +41,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from types import MappingProxyType
 
-from .errors import ConstraintViolation, OutOfRange, ParseError, PrecisionLoss
+from .errors import ConstraintViolation, OutOfRange, ParseError, PrecisionLoss, clipped
 
 __all__ = [
     "GRADE_SCALE",
@@ -72,7 +84,7 @@ class Grade:
 
     def __post_init__(self) -> None:
         if isinstance(self.ten_thousandths, bool) or not isinstance(self.ten_thousandths, int):
-            raise OutOfRange(f"grade count must be an integer, got {self.ten_thousandths!r}")
+            raise OutOfRange(f"grade count must be an integer, got {clipped(repr(self.ten_thousandths))}")
         if not 0 <= self.ten_thousandths <= GRADE_SCALE:
             raise OutOfRange(f"grade = {Decimal(self.ten_thousandths) / GRADE_SCALE} outside [0, 1]")
 
@@ -110,21 +122,21 @@ def grade_ticks(value: object, what: str = "grade") -> int:
         try:
             dec = Decimal(value.strip())
         except InvalidOperation:
-            raise ParseError(f"{what} {value!r} is not a decimal number") from None
+            raise ParseError(f"{what} {clipped(repr(value))} is not a decimal number") from None
     elif isinstance(value, float):
         dec = Decimal(str(value))
     elif isinstance(value, (int, Decimal)) and not isinstance(value, bool):
         dec = Decimal(value)
     else:
-        raise ParseError(f"{what} {value!r} is not a decimal number")
+        raise ParseError(f"{what} {clipped(repr(value))} is not a decimal number")
     if not dec.is_finite():
-        raise ParseError(f"{what} {value!r} is not a decimal number")
+        raise ParseError(f"{what} {clipped(repr(value))} is not a decimal number")
     if dec < 0 or dec > 1:
-        raise OutOfRange(f"{what} = {dec} outside [0, 1]")
+        raise OutOfRange(f"{what} = {clipped(str(dec))} outside [0, 1]")
     scaled = dec * GRADE_SCALE
     ticks = int(scaled)
     if scaled != ticks:
-        raise PrecisionLoss(f"{what} = {dec} has more than four decimal places")
+        raise PrecisionLoss(f"{what} = {clipped(str(dec))} has more than four decimal places")
     return ticks
 
 
@@ -139,13 +151,76 @@ def _violation(t: int, i: int, f: int) -> str | None:
     return None
 
 
-def first_violation(truth, indeterminacy, falsity) -> tuple[int, str] | None:
+# --- packed lanes (see the module docstring) --------------------------------
+
+_GUARD_BIT = 15
+
+
+def pack(column) -> int:
+    """A tick column (``array("H")`` or its bytes) as one int, one tick per 16-bit lane."""
+    return int.from_bytes(column, sys.byteorder)
+
+
+def unpack(lanes: int, count: int) -> array:
+    """The column of ``count`` ticks packed into ``lanes``."""
+    column = array("H")
+    column.frombytes(lanes.to_bytes(2 * count, sys.byteorder))
+    return column
+
+
+def in_every_lane(ticks: int, count: int) -> int:
+    """``ticks`` repeated in ``count`` lanes."""
+    return pack(array("H", (ticks,)).tobytes() * count)
+
+
+def guards(count: int) -> int:
+    """The guard bit, bit 15, in each of ``count`` lanes."""
+    return in_every_lane(1 << _GUARD_BIT, count)
+
+
+def _marks(x: int, y: int, guard: int) -> int:
+    """The guard bit of each lane where x >= y."""
+    return ((x | guard) - y) & guard
+
+
+def at_least(x: int, y: int, guard: int) -> bool:
+    """Whether x >= y in every lane."""
+    return _marks(x, y, guard) == guard
+
+
+def _where_at_least(x: int, y: int, guard: int) -> int:
+    """All fifteen tick bits of each lane where x >= y, none elsewhere."""
+    marks = _marks(x, y, guard)
+    return marks - (marks >> _GUARD_BIT)
+
+
+def larger(x: int, y: int, guard: int) -> int:
+    """Lane-wise max."""
+    return y ^ ((x ^ y) & _where_at_least(x, y, guard))
+
+
+def smaller(x: int, y: int, guard: int) -> int:
+    """Lane-wise min."""
+    return x ^ ((x ^ y) & _where_at_least(x, y, guard))
+
+
+def first_violation(truth: array, indeterminacy: array, falsity: array) -> tuple[int, str] | None:
     """Position and message of the first cell in three aligned tick columns
-    that breaks a joint bound, or None when every cell is valid."""
-    for position, (t, i, f) in enumerate(zip(truth, indeterminacy, falsity)):
-        if (t > _HALF) + (i > _HALF) + (f > _HALF) > 1:
-            return position, _violation(t, i, f)
-    return None
+    that breaks a joint bound, or None when every cell is valid.
+
+    A cell is bad when two of its grades exceed one half; the first bad lane
+    is found by unpacking the marks and searching them, which holds in
+    either byte order.
+    """
+    count = len(truth)
+    guard = guards(count)
+    above = in_every_lane(_HALF + 1, count)
+    t, i, f = (_marks(pack(column), above, guard) for column in (truth, indeterminacy, falsity))
+    bad = (t & i) | (f & (t | i))
+    if not bad:
+        return None
+    position = unpack(bad >> _GUARD_BIT, count).index(1)
+    return position, _violation(truth[position], indeterminacy[position], falsity[position])
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -71,6 +73,78 @@ class TestParameters:
         a = Parameter("zeta")
         pair = CompoundParameter(Parameter("alpha"), Parameter("beta"))
         assert sorted([pair, a], key=lambda p: p.sort_key()) == [a, pair]
+
+    def test_repr_text(self):
+        assert repr(Parameter("bright")) == "Parameter(name='bright', negated=False)"
+        pair = CompoundParameter(Parameter("a"), CompoundParameter(Parameter("b", True), Parameter("c")))
+        assert repr(pair) == (
+            "CompoundParameter(left=Parameter(name='a', negated=False), "
+            "right=CompoundParameter(left=Parameter(name='b', negated=True), "
+            "right=Parameter(name='c', negated=False)))"
+        )
+
+    @pytest.mark.parametrize("flag", [0, 1, None, "yes", {}, [True]])
+    def test_negation_flag_must_be_a_bool(self, flag):
+        with pytest.raises(TypeError, match="negation must be True or False"):
+            Parameter("bright", flag)
+
+    def test_a_bad_name_is_reported_before_a_bad_flag(self):
+        with pytest.raises(ValueError, match="non-empty string"):
+            Parameter("", {})
+
+    def test_compounds_pair_parameters_only(self):
+        with pytest.raises(TypeError, match="not a pair of parameters"):
+            CompoundParameter(Parameter("a"), "b")
+
+    def test_parameters_are_immutable(self):
+        p = Parameter("a")
+        pair = CompoundParameter(p, Parameter("b"))
+        for target, field in ((pair, "left"), (pair, "right"), (pair, "label"), (p, "name"), (p, "label")):
+            with pytest.raises(AttributeError):
+                setattr(target, field, Parameter("z"))
+            with pytest.raises(AttributeError):
+                delattr(target, field)
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        assert pair.label == "(a, b)" and pair.left == p
+
+    def test_equal_compounds_hash_alike(self):
+        def build():
+            return CompoundParameter(CompoundParameter(Parameter("a"), Parameter("b", True)), Parameter("c"))
+
+        one, other = build(), build()
+        assert one is not other and one == other and hash(one) == hash(other)
+        assert {one: 1}[other] == 1
+        assert one != CompoundParameter(one.right, one.left)
+        assert one != CompoundParameter(CompoundParameter(Parameter("a"), Parameter("b")), Parameter("c"))
+        assert Parameter("a") != CompoundParameter(Parameter("a"), Parameter("a"))
+
+    def test_unequal_compounds_sharing_a_label_are_refused(self):
+        one = CompoundParameter(Parameter("a, b"), Parameter("c"))
+        other = CompoundParameter(Parameter("a"), Parameter("b, c"))
+        assert one.label == other.label == "(a, b, c)" and one != other
+        with pytest.raises(DuplicateParameter) as caught:
+            SoftSet(("x",), [one, other], {})
+        assert str(caught.value) == f"parameters[1]: {one!r} and {other!r} share label '(a, b, c)'"
+
+    def test_copies_and_pickles_are_equal(self):
+        pair = CompoundParameter(Parameter("a", True), Parameter("b"))
+        for copied in (copy.copy(pair), copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
+            assert copied == pair and hash(copied) == hash(pair) and copied.label == pair.label
+
+    def test_a_chain_of_a_thousand_products(self):
+        # Labels and hashes come from the children's, so no step recurses;
+        # each level's label holds the whole chain, O(depth ** 2) characters in all.
+        leaf = tiny(universe=("x",), names=("b",))
+        chain = tiny(universe=("x",), names=("a",))
+        for _ in range(1000):
+            chain = and_op(chain, leaf)
+        (top,) = chain.parameters
+        assert top.label == "(" * 1000 + "a" + ", b)" * 1000
+        assert chain.find_parameter(top.label) is top
+        assert CompoundParameter(top.left, top.right) == top
+        assert hash(CompoundParameter(top.left, top.right)) == hash(top)
+        assert chain.triple(top, "x") == triple(3000, 2000, 4000)
 
 
 class TestConstruction:

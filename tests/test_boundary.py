@@ -3,6 +3,7 @@ mutation fuzz over the bundled fixtures."""
 
 import io
 import json
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
@@ -20,12 +21,14 @@ from inss import (
     InssError,
     Parameter,
     ParseError,
+    PrecisionLoss,
     ReferenceMatrix,
     SoftSet,
     load_reference_matrix,
     load_soft_set,
 )
 from inss.cli import main
+from inss.errors import QUOTE_LIMIT, clipped
 from inss.grades import ZERO_TRIPLE, grade_ticks
 
 FIXTURES = sorted(fixture("shopping.json").parent.glob("*.json"))
@@ -225,6 +228,39 @@ class TestStrictJson:
             load_soft_set(path)
         code, _, err = run("validate", path)
         assert code == 1 and err.startswith("error: ParseError:")
+
+    @pytest.mark.parametrize(
+        "grade, error",
+        [
+            ('"1' + "0" * 99_999 + '"', "OutOfRange"),
+            ('"0.' + "0" * 99_998 + '1"', "PrecisionLoss"),
+            ('"' + "x" * 100_000 + '"', "ParseError"),
+            ("[" + "0, " * 50_000 + "0]", "ParseError"),
+            # Read as an integer by the JSON decoder, which refuses more than
+            # sys.get_int_max_str_digits() digits where that limit exists.
+            ("1" + "0" * 99_999, "ParseError" if hasattr(sys, "get_int_max_str_digits") else "OutOfRange"),
+        ],
+    )
+    def test_a_huge_grade_gives_a_short_error_line(self, tmp_path, grade, error):
+        doc = json.dumps(doc_with(["b1"], [BRIGHT], {"bright": {"b1": ["MARK", "0", "0"]}}))
+        code, out, err = run("validate", write(tmp_path, doc.replace('"MARK"', grade)))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {error}: ") and err.count("\n") == 1 and len(err) < 200
+
+    @pytest.mark.parametrize(
+        "spec", [[0] * 50_000, {"name": [0] * 50_000, "negated": False}, {"name": "a", "negated": "no" * 50_000}]
+    )
+    def test_a_huge_parameter_gives_a_short_error_line(self, tmp_path, spec):
+        code, out, err = run("validate", write(tmp_path, json.dumps(doc_with(["b1"], [spec], {}))))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ParseError: parameters[0]") and len(err) < 200
+
+    def test_quotes_keep_a_fixed_prefix(self):
+        assert clipped("x" * QUOTE_LIMIT) == "x" * QUOTE_LIMIT
+        assert clipped("x" * (QUOTE_LIMIT + 1)) == "x" * QUOTE_LIMIT + "..."
+        with pytest.raises(PrecisionLoss) as caught:
+            grade_ticks("0." + "1" * QUOTE_LIMIT)
+        assert str(caught.value) == f"grade = 0.{'1' * (QUOTE_LIMIT - 2)}... has more than four decimal places"
 
     @pytest.mark.parametrize(
         "depth", [1, 50, 99, 100, 101, 200, 350, 400, 450, 500, 600, 800, 990, 1000, 1200, 3000]

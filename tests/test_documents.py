@@ -176,6 +176,10 @@ class TestParsingErrors:
             ({"name": "", "negated": False}, "non-empty string"),
             ({"name": "bright", "negated": "no"}, "true or false"),
             ({"left": {"name": "a", "negated": False}, "right": "b"}, r"parameters\[0\].right"),
+            ({"name": "bright", "negated": {}}, r"^parameters\[0\]\.negated: must be true or false$"),
+            ({"name": "bright", "negated": 0}, r"^parameters\[0\]\.negated: must be true or false$"),
+            ({"name": "", "negated": {}}, r"^parameters\[0\]\.name: parameter name must be a non-empty string"),
+            ({"name": 7, "negated": "no"}, r"^parameters\[0\]\.name: parameter name must be a non-empty string"),
         ],
     )
     def test_bad_parameter_specs(self, tmp_path, spec, hint):
