@@ -13,17 +13,20 @@ Combination rules on shared parameters:
 These rules (and complement's swap of truth with falsity) preserve the
 triple validity bounds, so closure holds by construction.
 
-Each value set is stored as three aligned ``array("H")`` columns of tick
-counts (truth, indeterminacy, falsity) in universe order, and every
-operation packs each column into one int and works on all its cells at once
-with the lane kernels of :mod:`inss.grades`.  Columns are never changed once
-built, so value sets share them freely: complement reuses its operand's
-arrays, and a product's value sets are slices of one result array per
-component.  A value set also records whether its cells are known to be
-valid: a result computed from valid value sets is valid without a check,
-and any other result is checked in bulk, raising ConstraintViolation for its
-first bad cell.  GradeTriple objects are built from the columns only when a
-caller looks a cell up.
+Each soft set holds its grades as one tick matrix: three ``array("H")``
+columns of tick counts (truth, indeterminacy, falsity), each with one row of
+universe-many ticks per parameter, rows in parameter order.  Every operation
+packs whole columns into ints and works on all their cells at once with the
+lane kernels of :mod:`inss.grades`: complement swaps the truth and falsity
+columns; union, intersection and is_subset gather the shared rows of each
+side and make one kernel call; a product's kernel result is its matrix as
+it stands.  Matrices are never changed once built, so soft sets share them
+freely.  A soft set also records whether its cells are known to be valid: a
+result computed from valid sets is valid without a check, and any other
+result is checked in bulk, raising ConstraintViolation for its first bad
+cell in row order.  Value sets (``InsSet``) are read-only views of one row,
+built the first time a caller asks for one, and GradeTriple objects are
+built from a view only when a caller looks a cell up.
 
 Parameters are small immutable objects compared by structure.  Each
 computes its label and hash once, at construction, from its children's, so
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from types import MappingProxyType
 
 from .errors import (
@@ -193,7 +196,21 @@ def not_parameters(parameters: Iterable[ParamLike]) -> tuple[ParamLike, ...]:
     return tuple(p.negate() for p in parameters)
 
 
-Columns = tuple  # (truth, indeterminacy, falsity) array("H") tick columns, each in universe order
+Columns = tuple  # (truth, indeterminacy, falsity) array("H") tick columns
+
+
+def gaps(expected: dict, given: Mapping) -> tuple[list, list]:
+    """What keeps ``given`` from being keyed by exactly the keys of ``expected``.
+
+    Returns the keys it lacks, in ``expected``'s order, and its keys beyond
+    them, in its own order.  The one check that a value set covers the
+    universe and that a family covers the parameters, for the constructors
+    and the loader alike; each caller words the answer for its input.
+    """
+    extra = [key for key in given if key not in expected]
+    if len(given) - len(extra) == len(expected):
+        return [], extra
+    return [key for key in expected if key not in given], extra
 
 
 class InsSet(Mapping):
@@ -201,43 +218,34 @@ class InsSet(Mapping):
 
     The grades are held as three ``array("H")`` columns of tick counts,
     never changed once built; the GradeTriple objects are built the first
-    time an element is looked up.
+    time an element is looked up.  A soft set hands out its value sets as
+    read-only views of its rows (see :meth:`SoftSet.value_set`).
     """
 
-    __slots__ = ("_universe", "_columns", "_valid", "_cells")
+    __slots__ = ("_universe", "_columns", "_cells")
 
     def __init__(self, universe: Sequence[str], triples: Mapping[str, GradeTriple]):
-        self._universe = tuple(universe)
-        known = set(self._universe)
-        missing = [e for e in self._universe if e not in triples]
-        extra = sorted(e for e in triples if e not in known)
+        universe = tuple(universe)
+        missing, extra = gaps(dict.fromkeys(universe), triples)
         if missing or extra:
             parts = []
             if missing:
                 parts.append(f"missing elements {missing}")
             if extra:
-                parts.append(f"unknown elements {extra}")
+                parts.append(f"unknown elements {sorted(extra)}")
             raise ValueError("value set " + ", ".join(parts))
-        for element in self._universe:
-            if not isinstance(triples[element], GradeTriple):
+        given = [triples[e] for e in universe]
+        for element, triple in zip(universe, given):
+            if not isinstance(triple, GradeTriple):
                 raise TypeError(f"value for {element!r} is not a GradeTriple")
-        given = [triples[e] for e in self._universe]
-        self._columns = tuple(
-            array("H", [getattr(triple, name).ten_thousandths for triple in given]) for name in COMPONENTS
-        )
-        self._valid = first_violation(*self._columns) is None
-        self._cells = None
+        columns = tuple(array("H", [getattr(triple, name).ten_thousandths for triple in given]) for name in COMPONENTS)
+        self._universe, self._columns, self._cells = universe, columns, None
 
     @classmethod
-    def _of(cls, universe: tuple[str, ...], columns: Columns, valid: bool) -> "InsSet":
-        """A value set over ``universe`` holding the given tick columns,
-        which it keeps without copying; ``valid`` says whether every cell is
-        known to meet the joint bounds."""
+    def _view(cls, universe: tuple[str, ...], columns: Columns) -> "InsSet":
+        """The value set of one soft-set row: ``columns`` are its ticks, kept without copying."""
         self = cls.__new__(cls)
-        self._universe = universe
-        self._columns = columns
-        self._valid = valid
-        self._cells = None
+        self._universe, self._columns, self._cells = universe, columns, None
         return self
 
     @property
@@ -285,26 +293,34 @@ def checked_universe(elements: Iterable) -> tuple[str, ...]:
     return universe
 
 
-def label_index(parameters: Iterable[ParamLike]) -> dict[str, ParamLike]:
-    """Parameters by display label, in order; no parameter or label may repeat."""
-    by_label: dict[str, ParamLike] = {}
+def label_index(parameters: Sequence[ParamLike]) -> dict[str, int]:
+    """Each parameter's position, by display label; no parameter or label may repeat."""
+    rows: dict[str, int] = {}
     for index, param in enumerate(parameters):
         if not isinstance(param, _PARAMETERS):
             raise TypeError(f"not a parameter: {clipped(repr(param))}")
         label = param.label
-        if label in by_label:
-            known = by_label[label]
+        if label in rows:
+            known = parameters[rows[label]]
             if known == param:
                 raise DuplicateParameter(f"parameters[{index}]: duplicate parameter '{label}'")
             raise DuplicateParameter(f"parameters[{index}]: {known!r} and {param!r} share label '{label}'")
-        by_label[label] = param
-    return by_label
+        rows[label] = index
+    return rows
 
 
 class SoftSet:
-    """An ordered family of value sets, one per parameter."""
+    """An ordered family of value sets, one per parameter.
 
-    __slots__ = ("_universe", "_parameters", "_family", "_by_label")
+    The grades are one tick matrix: three ``array("H")`` columns (truth,
+    indeterminacy, falsity), each holding one row of universe-many ticks per
+    parameter, rows in parameter order.  ``_rows`` gives each label's row,
+    ``_valid`` says whether every cell is known to meet the joint bounds,
+    and ``_views`` keeps the value sets handed out so far.  Only this module
+    knows the layout: other modules read the rows through :func:`tick_rows`.
+    """
+
+    __slots__ = ("_universe", "_parameters", "_rows", "_ticks", "_valid", "_views")
 
     def __init__(
         self,
@@ -312,41 +328,55 @@ class SoftSet:
         parameters: Sequence[ParamLike],
         family: Mapping[ParamLike, Mapping[str, GradeTriple]],
     ):
-        self._universe = checked_universe(universe)
-        self._parameters = tuple(parameters)
-        self._by_label = label_index(self._parameters)
-        declared, given = set(self._parameters), set(family)
-        if given != declared:
-            missing = sorted(p.label for p in declared - given)
-            extra = sorted(p.label for p in given - declared)
+        universe = checked_universe(universe)
+        parameters = tuple(parameters)
+        rows = label_index(parameters)
+        missing, extra = gaps(dict.fromkeys(parameters), family)
+        if missing or extra:
             parts = []
             if missing:
-                parts.append(f"missing value sets for {missing}")
+                parts.append(f"missing value sets for {sorted(p.label for p in missing)}")
             if extra:
-                parts.append(f"value sets for undeclared parameters {extra}")
+                parts.append(f"value sets for undeclared parameters {sorted(p.label for p in extra)}")
             raise ValueError("family mismatch: " + ", ".join(parts))
 
-        built = {}
-        for param in self._parameters:
+        stacked = ([], [], [])
+        for param in parameters:
             value_set = family[param]
-            if isinstance(value_set, InsSet) and value_set.universe == self._universe:
-                built[param] = value_set
-                continue
-            try:
-                built[param] = InsSet(self._universe, value_set)
-            except ValueError as err:
-                raise ValueError(f"parameter '{param.label}': {err}") from None
-        self._family = built
+            if not (isinstance(value_set, InsSet) and value_set.universe == universe):
+                try:
+                    value_set = InsSet(universe, value_set)
+                except ValueError as err:
+                    raise ValueError(f"parameter '{param.label}': {err}") from None
+            for columns, column in zip(stacked, value_set._columns):
+                columns.append(column)
+        ticks = tuple(array("H", b"".join(columns)) for columns in stacked)
+        self._set(universe, parameters, rows, ticks, first_violation(*ticks) is None)
 
     @classmethod
-    def _of(cls, universe: tuple[str, ...], parameters: tuple[ParamLike, ...], family: dict) -> "SoftSet":
-        """Value sets over a checked ``universe``, one per parameter; only the parameters are checked."""
+    def _of(cls, universe: tuple, parameters: tuple, rows: dict[str, int], ticks: Columns, valid: bool) -> "SoftSet":
+        """A soft set over a checked ``universe`` holding the tick matrix
+        ``ticks``, which it keeps without copying; ``rows`` is
+        ``label_index(parameters)`` and ``valid`` says whether every cell is
+        known to meet the joint bounds."""
         self = cls.__new__(cls)
+        self._set(universe, parameters, rows, ticks, valid)
+        return self
+
+    def _set(self, universe, parameters, rows, ticks, valid) -> None:
         self._universe = universe
         self._parameters = parameters
-        self._family = family
-        self._by_label = label_index(parameters)
-        return self
+        self._rows = rows
+        self._ticks = ticks
+        self._valid = valid
+        self._views = {}
+
+    def _row(self, param: ParamLike) -> int | None:
+        """The row holding ``param``'s value set, or None when the set lacks it."""
+        row = self._rows.get(getattr(param, "label", None))
+        if row is None or self._parameters[row] is param or self._parameters[row] == param:
+            return row
+        return None
 
     @property
     def universe(self) -> tuple[str, ...]:
@@ -358,16 +388,22 @@ class SoftSet:
 
     @property
     def family(self) -> Mapping[ParamLike, InsSet]:
-        return MappingProxyType(self._family)
+        return MappingProxyType({param: self.value_set(param) for param in self._parameters})
 
     def has_parameter(self, param: ParamLike) -> bool:
-        return param in self._family
+        return self._row(param) is not None
 
     def value_set(self, param: ParamLike) -> InsSet:
-        try:
-            return self._family[param]
-        except KeyError:
-            raise UnknownParameter(f"unknown parameter '{param.label}'") from None
+        """A read-only view of ``param``'s row, built when first asked for."""
+        view = self._views.get(param)
+        if view is None:
+            row = self._row(param)
+            if row is None:
+                raise UnknownParameter(f"unknown parameter '{param.label}'")
+            start, size = row * len(self._universe), len(self._universe)
+            columns = tuple(column[start : start + size] for column in self._ticks)
+            view = self._views[param] = InsSet._view(self._universe, columns)
+        return view
 
     def triple(self, param: ParamLike, element: str) -> GradeTriple:
         return self.value_set(param)[element]
@@ -375,16 +411,21 @@ class SoftSet:
     def find_parameter(self, label: str) -> ParamLike:
         """Look a parameter up by its display label."""
         try:
-            return self._by_label[label]
+            return self._parameters[self._rows[label]]
         except (KeyError, TypeError):
             raise UnknownParameter(f"unknown parameter '{label}'") from None
 
     def restrict(self, parameters: Sequence[ParamLike]) -> "SoftSet":
         """The same universe, narrowed to the given parameters in the given order."""
+        parameters = tuple(parameters)
+        rows = []
         for param in parameters:
-            if param not in self._family:
+            row = self._row(param)
+            if row is None:
                 raise UnknownParameter(f"unknown parameter '{param.label}'")
-        return SoftSet._of(self._universe, tuple(parameters), {p: self._family[p] for p in parameters})
+            rows.append(row)
+        ticks = _stacked(len(self._universe), [(self._ticks, row) for row in rows])
+        return SoftSet._of(self._universe, parameters, label_index(parameters), ticks, self._valid)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SoftSet):
@@ -392,11 +433,40 @@ class SoftSet:
         return (
             self._universe == other._universe
             and self._parameters == other._parameters
-            and all(self._family[p] == other._family[p] for p in self._parameters)
+            and self._ticks == other._ticks
         )
 
     def __repr__(self) -> str:
         return f"SoftSet({len(self._universe)} elements, {len(self._parameters)} parameters)"
+
+
+def tick_rows(soft_set: SoftSet) -> Iterator[tuple[list[int], list[int], list[int]]]:
+    """Each value set's truth, indeterminacy and falsity ticks, in parameter
+    order, each a list in universe order (a list yields its items without
+    making new ints, where an array boxes each one)."""
+    size = len(soft_set.universe)
+    for row in range(len(soft_set.parameters)):
+        start = row * size
+        yield tuple(column[start : start + size].tolist() for column in soft_set._ticks)
+
+
+def _stacked(size: int, pieces: list[tuple[Columns, int]]) -> Columns:
+    """Rows of ``size`` ticks, end to end; each piece names a tick matrix and a row of it.
+
+    Consecutive rows of one matrix are copied as one slice, and every row of
+    one matrix, in order, is that matrix itself.
+    """
+    runs: list[list] = []  # [matrix, first row, row after the last]
+    for matrix, row in pieces:
+        if runs and runs[-1][0] is matrix and runs[-1][2] == row:
+            runs[-1][2] += 1
+        else:
+            runs.append([matrix, row, row + 1])
+    if len(runs) == 1 and runs[0][1] == 0 and runs[0][2] * size == len(runs[0][0][0]):
+        return runs[0][0]
+    return tuple(
+        array("H", b"".join([matrix[k][start * size : end * size] for matrix, start, end in runs])) for k in range(3)
+    )
 
 
 def _require_same_universe(left: SoftSet, right: SoftSet) -> None:
@@ -430,25 +500,31 @@ def _combined(ours: tuple, theirs: tuple, count: int, rule) -> Columns:
     return tuple(unpack(lanes, count) for lanes in rule(ours, theirs, guards(count)))
 
 
-def _combine(ours: InsSet, theirs: InsSet, rule) -> InsSet:
-    universe = ours._universe
-    columns = _combined(tuple(map(pack, ours._columns)), tuple(map(pack, theirs._columns)), len(universe), rule)
-    return InsSet._of(universe, _checked(columns, ours._valid and theirs._valid), True)
+def _paired_rows(left: SoftSet, right: SoftSet) -> list[tuple[int, int]]:
+    """The rows of each parameter the two sets share, in left's order."""
+    return [(a, b) for a, param in enumerate(left._parameters) if (b := right._row(param)) is not None]
+
+
+def _combine(left: SoftSet, right: SoftSet, pairs: list[tuple[int, int]], rule) -> Columns:
+    """``rule`` over the paired rows of two soft sets, in one kernel call; the
+    result's first bad cell, in row order, raises unless both sets are valid."""
+    size = len(left._universe)
+    ours = tuple(map(pack, _stacked(size, [(left._ticks, a) for a, _ in pairs])))
+    theirs = tuple(map(pack, _stacked(size, [(right._ticks, b) for _, b in pairs])))
+    return _checked(_combined(ours, theirs, size * len(pairs), rule), left._valid and right._valid)
 
 
 def is_subset(left: SoftSet, right: SoftSet) -> bool:
     """Containment: parameters included, truth and indeterminacy no larger,
     falsity no smaller, elementwise.  Not strict: equal sets contain each other."""
     _require_same_universe(left, right)
-    if any(not right.has_parameter(p) for p in left.parameters):
+    pairs = _paired_rows(left, right)
+    if len(pairs) < len(left.parameters):
         return False
-    guard = guards(len(left.universe))
-    for param in left.parameters:
-        ta, ia, fa = map(pack, left._family[param]._columns)
-        tb, ib, fb = map(pack, right._family[param]._columns)
-        if not (at_least(tb, ta, guard) and at_least(ib, ia, guard) and at_least(fa, fb, guard)):
-            return False
-    return True
+    ta, ia, fa = map(pack, left._ticks)
+    tb, ib, fb = map(pack, _stacked(len(left.universe), [(right._ticks, b) for _, b in pairs]))
+    guard = guards(len(left._ticks[0]))
+    return at_least(tb, ta, guard) and at_least(ib, ia, guard) and at_least(fa, fb, guard)
 
 
 def equals(left: SoftSet, right: SoftSet) -> bool:
@@ -458,17 +534,15 @@ def equals(left: SoftSet, right: SoftSet) -> bool:
 
 def complement(soft_set: SoftSet) -> SoftSet:
     """Negate every parameter and swap truth with falsity in every triple."""
-    family = {}
-    for param, value_set in soft_set._family.items():
-        truth, indeterminacy, falsity = value_set._columns
-        columns = _checked((falsity, indeterminacy, truth), value_set._valid)
-        family[param.negate()] = InsSet._of(soft_set.universe, columns, True)
-    return SoftSet._of(soft_set.universe, tuple(family), family)
+    truth, indeterminacy, falsity = soft_set._ticks
+    ticks = _checked((falsity, indeterminacy, truth), soft_set._valid)
+    parameters = not_parameters(soft_set.parameters)
+    return SoftSet._of(soft_set.universe, parameters, label_index(parameters), ticks, True)
 
 
 def is_null(soft_set: SoftSet) -> bool:
     """True when every triple is (0, 0, 0)."""
-    return not any(any(column) for value_set in soft_set._family.values() for column in value_set._columns)
+    return not any(map(any, soft_set._ticks))
 
 
 def union(left: SoftSet, right: SoftSet) -> SoftSet:
@@ -477,59 +551,56 @@ def union(left: SoftSet, right: SoftSet) -> SoftSet:
     Result parameters: left's, then right's that left lacks, orders kept.
     """
     _require_same_universe(left, right)
-    family = {}
-    for param, ours in left._family.items():
-        theirs = right._family.get(param)
-        family[param] = ours if theirs is None else _combine(ours, theirs, _join)
-    for param, theirs in right._family.items():
-        family.setdefault(param, theirs)
-    return SoftSet._of(left.universe, tuple(family), family)
+    pairs = _paired_rows(left, right)
+    joined = _combine(left, right, pairs, _join)
+    ranks = {a: rank for rank, (a, _) in enumerate(pairs)}
+    pieces = [(joined, ranks[a]) if a in ranks else (left._ticks, a) for a in range(len(left.parameters))]
+    extra = [b for b, param in enumerate(right.parameters) if not left.has_parameter(param)]
+    pieces += [(right._ticks, b) for b in extra]
+    parameters = left.parameters + tuple(right.parameters[b] for b in extra)
+    ticks = _stacked(len(left.universe), pieces)
+    return SoftSet._of(left.universe, parameters, label_index(parameters), ticks, left._valid and right._valid)
 
 
 def intersection(left: SoftSet, right: SoftSet) -> SoftSet:
     """Meet on shared parameters (min/min/max); requires at least one."""
     _require_same_universe(left, right)
-    family = {
-        param: _combine(ours, right._family[param], _meet)
-        for param, ours in left._family.items()
-        if param in right._family
-    }
-    if not family:
+    pairs = _paired_rows(left, right)
+    if not pairs:
         raise EmptyParameterIntersection("the parameter sets share no member")
-    return SoftSet._of(left.universe, tuple(family), family)
+    parameters = tuple(left.parameters[a] for a, _ in pairs)
+    return SoftSet._of(left.universe, parameters, label_index(parameters), _combine(left, right, pairs, _meet), True)
 
 
 def _product(left: SoftSet, right: SoftSet, rule) -> SoftSet:
     """One lane operation per component over every pair at once.
 
-    Each left column is repeated once per right parameter, and right's
-    columns, laid end to end, are repeated once per left parameter, so lane
-    block ``a * len(right) + b`` holds pair (a, b) and each pair's value set
-    is a slice of the result.  The result is checked as a whole, so its first bad
-    cell is also the first in row-major pair order: pairs of valid value
-    sets are valid by closure.
+    Each left row is repeated once per right parameter, and right's whole
+    matrix once per left parameter, so lane block ``a * len(right) + b``
+    holds pair (a, b) and the result is the product's tick matrix as it
+    stands.  The result is checked as a whole, so its first bad cell is also
+    the first in row-major pair order: pairs of valid value sets are valid
+    by closure.
     """
     _require_same_universe(left, right)
-    universe, size = left.universe, len(left.universe)
-    ours, theirs = left._family.values(), right._family.values()
-    count = len(theirs)
-    left_lanes = tuple(pack(b"".join([vs._columns[k].tobytes() * count for vs in ours])) for k in range(3))
-    right_lanes = tuple(pack(b"".join([vs._columns[k].tobytes() for vs in theirs]) * len(ours)) for k in range(3))
-    valid = all(vs._valid for vs in ours) and all(vs._valid for vs in theirs)
-    t, i, f = _checked(_combined(left_lanes, right_lanes, size * len(ours) * count, rule), valid)
-    pairs = tuple([CompoundParameter(a, b) for a in left._family for b in right._family])
-    starts = [k * size for k in range(len(pairs))]
-    value_sets = [InsSet._of(universe, (t[s : s + size], i[s : s + size], f[s : s + size]), True) for s in starts]
-    return SoftSet._of(universe, pairs, dict(zip(pairs, value_sets)))
+    size, count, left_count = len(left.universe), len(right.parameters), len(left.parameters)
+    left_lanes = tuple(
+        pack(b"".join([bytes(rows[a * size : a * size + size]) * count for a in range(left_count)]))
+        for rows in map(memoryview, left._ticks)
+    )
+    right_lanes = tuple(pack(column.tobytes() * left_count) for column in right._ticks)
+    ticks = _checked(_combined(left_lanes, right_lanes, size * left_count * count, rule), left._valid and right._valid)
+    pairs = tuple([CompoundParameter(a, b) for a in left.parameters for b in right.parameters])
+    return SoftSet._of(left.universe, pairs, label_index(pairs), ticks, True)
 
 
 def and_op(left: SoftSet, right: SoftSet) -> SoftSet:
-    """Pairwise product with the meet rule; columns in row-major pair order."""
+    """Pairwise product with the meet rule; rows in row-major pair order."""
     return _product(left, right, _meet)
 
 
 def or_op(left: SoftSet, right: SoftSet) -> SoftSet:
-    """Pairwise product with the join rule; columns in row-major pair order."""
+    """Pairwise product with the join rule; rows in row-major pair order."""
     return _product(left, right, _join)
 
 
@@ -539,5 +610,4 @@ def canonicalize(soft_set: SoftSet) -> SoftSet:
     Makes order-insensitive identities (commutativity above all) literal
     structural equality.
     """
-    ordered = sorted(soft_set.parameters, key=lambda p: p.sort_key())
-    return SoftSet._of(soft_set.universe, tuple(ordered), {p: soft_set._family[p] for p in ordered})
+    return soft_set.restrict(sorted(soft_set.parameters, key=lambda p: p.sort_key()))

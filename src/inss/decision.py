@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .algebra import CompoundParameter, ParamLike, Parameter, SoftSet
+from .algebra import CompoundParameter, ParamLike, Parameter, SoftSet, tick_rows
 from .errors import EmptyParameterSet, EmptyUniverse, ReferenceMismatch
 from .grades import GradeTriple
 
@@ -197,13 +197,12 @@ class ComparisonMatrix:
         )
 
 
-def _win_counts(column) -> tuple[int, ...]:
+def _win_counts(column: list[int]) -> tuple[int, ...]:
     """For each value, how many other values in the column are at or below it.
 
     Mapping each value to its last position in sorted order gives exactly
     that count.
     """
-    column = column.tolist()  # list items are read without making new ints
     last = dict(zip(sorted(column), range(len(column))))
     return tuple(map(last.__getitem__, column))
 
@@ -215,8 +214,8 @@ def comparison_matrix(table: DecisionTable) -> ComparisonMatrix:
     number of values at or below its own, self excluded.
     """
     per_component = ([], [], [])
-    for param in table.parameters:
-        for counts, column in zip(per_component, table.soft_set.value_set(param)._columns):
+    for columns in tick_rows(table.soft_set):
+        for counts, column in zip(per_component, columns):
             counts.append(_win_counts(column))
     return ComparisonMatrix._of(table.objects, table.parameters, tuple(map(tuple, per_component)))
 

@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import json
 from array import array
+from decimal import Decimal
 from itertools import repeat
 from pathlib import Path
 
-from .algebra import CompoundParameter, InsSet, ParamLike, Parameter, SoftSet, checked_universe, label_index
+from .algebra import CompoundParameter, ParamLike, Parameter, SoftSet, checked_universe, gaps, label_index, tick_rows
 from .decision import ReferenceMatrix
 from .errors import ConstraintViolation, OutOfRange, ParseError, PrecisionLoss, clipped
 from .grades import _TICKS_BY_TEXT, GRADE_TEXTS, first_violation, grade_ticks
@@ -58,8 +59,18 @@ FORMAT_VERSION = 1
 _MAX_NESTING = 100
 
 
-def _read_json(source: str | Path) -> object:
-    """The JSON value in a UTF-8 file (other bytes are an OSError); no object may repeat a key."""
+class _Number(Decimal):
+    """A JSON number with a fraction or an exponent, read exactly, and
+    quoted in messages as its decimal text (``1E+5`` for ``1e5``)."""
+
+    __slots__ = ()
+    __repr__ = Decimal.__str__
+
+
+def _read_json(source: str | Path, parse_float=None) -> object:
+    """The JSON value in a UTF-8 file (other bytes are an OSError); no object
+    may repeat a key.  ``parse_float`` reads numbers with a fraction or an
+    exponent, as in ``json.loads`` (None: binary floats)."""
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         obj = dict(pairs)
         if len(obj) < len(pairs):
@@ -73,7 +84,7 @@ def _read_json(source: str | Path) -> object:
     except UnicodeDecodeError as err:
         raise OSError(f"{source}: not UTF-8 text ({err.reason} at byte {err.start})") from None
     try:
-        return json.loads(text, object_pairs_hook=unique_keys)
+        return json.loads(text, object_pairs_hook=unique_keys, parse_float=parse_float)
     except json.JSONDecodeError as err:
         raise ParseError(
             f"{source}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
@@ -127,15 +138,19 @@ def _param_to_spec(param: ParamLike) -> dict:
     return {"left": _param_to_spec(param.left), "right": _param_to_spec(param.right)}
 
 
-def _value_set(label: str, cells: dict, universe: tuple[str, ...], check_grades: bool) -> InsSet:
-    """Translate one parameter's grades into tick columns.
+def _value_set(label: str, cells: object, universe: tuple[str, ...], positions: dict, columns: tuple) -> None:
+    """Append one parameter's grades, in universe order, to the tick lists ``columns``.
 
     Errors come in reading order: cells in universe order, and within a cell
-    its grades before its joint bounds.  The ticks are collected in lists
-    (appending to a list is cheaper than to an array) and each column
-    becomes an ``array("H")`` once, before the bounds check.
+    its grades in turn; a missing element is reported when its turn comes.
+    ``positions`` maps each element to its place in the universe.
     """
-    columns = ([], [], [])
+    where = f"grades['{clipped(label)}']"
+    if not isinstance(cells, dict):
+        raise ParseError(f"{where}: must be an object keyed by element id")
+    missing, unknown = gaps(positions, cells)
+    if unknown:
+        raise ParseError(f"{where}: unknown element '{clipped(unknown[0])}'")
     truth, indeterminacy, falsity = (column.append for column in columns)
     known = _TICKS_BY_TEXT.get  # the plain dict behind grades.TICKS_BY_TEXT
     missed: dict[str, int] = {}  # other spellings read so far in this value set
@@ -148,37 +163,27 @@ def _value_set(label: str, cells: dict, universe: tuple[str, ...], check_grades:
             ticks = missed[value] = grade_ticks(value, what)
         return ticks
 
-    try:
-        for element in universe:
+    for element in universe[: positions[missing[0]]] if missing else universe:
+        cell = cells[element]
+        if not isinstance(cell, list) or len(cell) != 3:
+            raise ParseError(f"{where}['{clipped(element)}']: expected [truth, indeterminacy, falsity]")
+        try:
+            # Canonical texts are looked up; only other spellings are parsed.
+            t, i, f = known(cell[0]), known(cell[1]), known(cell[2])
+        except TypeError:  # an unhashable grade, for grade_ticks to reject
+            t = i = f = None
+        if t is None or i is None or f is None:
             try:
-                cell = cells[element]
-            except KeyError:
-                raise ParseError(f"grades['{label}']: missing element '{element}'") from None
-            if not isinstance(cell, list) or len(cell) != 3:
-                raise ParseError(f"grades['{label}']['{element}']: expected [truth, indeterminacy, falsity]")
-            try:
-                # Canonical texts are looked up; only other spellings are parsed.
-                t, i, f = known(cell[0]), known(cell[1]), known(cell[2])
-            except TypeError:  # an unhashable grade, for grade_ticks to reject
-                t = i = f = None
-            if t is None or i is None or f is None:
-                try:
-                    t = parsed(cell[0], "truth") if t is None else t
-                    i = parsed(cell[1], "indeterminacy") if i is None else i
-                    f = parsed(cell[2], "falsity") if f is None else f
-                except (OutOfRange, PrecisionLoss, ParseError) as err:
-                    raise type(err)(f"grades['{label}']['{element}']: {err}") from None
-            truth(t)
-            indeterminacy(i)
-            falsity(f)
-    finally:
-        # Also on the way out of an error, so a bad cell before it wins.
-        columns = tuple(array("H", column) for column in columns)
-        problem = first_violation(*columns)
-        if check_grades and problem is not None:
-            position, message = problem
-            raise ConstraintViolation(f"grades['{label}']['{universe[position]}']: {message}") from None
-    return InsSet._of(universe, columns, problem is None)
+                t = parsed(cell[0], "truth") if t is None else t
+                i = parsed(cell[1], "indeterminacy") if i is None else i
+                f = parsed(cell[2], "falsity") if f is None else f
+            except (OutOfRange, PrecisionLoss, ParseError) as err:
+                raise type(err)(f"{where}['{clipped(element)}']: {err}") from None
+        truth(t)
+        indeterminacy(i)
+        falsity(f)
+    if missing:
+        raise ParseError(f"{where}: missing element '{clipped(missing[0])}'")
 
 
 def load_soft_set(source: str | Path, *, check_grades: bool = True) -> SoftSet:
@@ -188,9 +193,10 @@ def load_soft_set(source: str | Path, *, check_grades: bool = True) -> SoftSet:
     problems re-raise with ``grades['<parameter>']['<element>']`` coordinates
     prepended.  ``check_grades=False`` skips only the joint triple bounds
     (for auditing published data that breaks them); each grade on its own is
-    still parsed strictly.
+    still parsed strictly.  Number grades are read as exact decimals, so one
+    off the four-decimal grid raises PrecisionLoss like its text would.
     """
-    doc = _read_json(source)
+    doc = _read_json(source, _Number)
     _check_document(doc, {"format_version", "universe", "parameters", "grades"}, str(source))
 
     universe_raw = doc["universe"]
@@ -200,32 +206,38 @@ def load_soft_set(source: str | Path, *, check_grades: bool = True) -> SoftSet:
         universe = checked_universe(universe_raw)
     except ValueError as err:
         raise ParseError(str(err)) from None
-    elements = set(universe)
 
     params_raw = doc["parameters"]
     if not isinstance(params_raw, list):
         raise ParseError("parameters: must be a list")
-    by_label = label_index(_param_from_spec(spec, f"parameters[{i}]") for i, spec in enumerate(params_raw))
+    parameters = tuple(_param_from_spec(spec, f"parameters[{i}]") for i, spec in enumerate(params_raw))
+    rows = label_index(parameters)
 
     grades_raw = doc["grades"]
     if not isinstance(grades_raw, dict):
         raise ParseError("grades: must be an object keyed by parameter label")
-    for key in grades_raw:
-        if key not in by_label:
-            raise ParseError(f"grades: unknown parameter '{key}'")
-    family = {}
-    for label, param in by_label.items():
-        if label not in grades_raw:
-            raise ParseError(f"grades: missing entry for parameter '{label}'")
-        cells = grades_raw[label]
-        if not isinstance(cells, dict):
-            raise ParseError(f"grades['{label}']: must be an object keyed by element id")
-        for key in cells:
-            if key not in elements:
-                raise ParseError(f"grades['{label}']: unknown element '{key}'")
-        family[param] = _value_set(label, cells, universe, check_grades)
-
-    return SoftSet._of(universe, tuple(family), family)
+    missing, unknown = gaps(rows, grades_raw)
+    if unknown:
+        raise ParseError(f"grades: unknown parameter '{clipped(unknown[0])}'")
+    labels = tuple(rows)[: rows[missing[0]]] if missing else tuple(rows)
+    positions = {element: k for k, element in enumerate(universe)}
+    columns = ([], [], [])
+    try:
+        for label in labels:
+            _value_set(label, grades_raw[label], universe, positions, columns)
+        if missing:
+            raise ParseError(f"grades: missing entry for parameter '{clipped(missing[0])}'")
+    finally:
+        # Also on the way out of an error, so that a bad cell read before it wins.
+        ticks = tuple(array("H", column) for column in columns)
+        problem = first_violation(*ticks)
+        if check_grades and problem is not None:
+            position, message = problem
+            row, element = divmod(position, len(universe))
+            raise ConstraintViolation(
+                f"grades['{clipped(labels[row])}']['{clipped(universe[element])}']: {message}"
+            ) from None
+    return SoftSet._of(universe, parameters, rows, ticks, problem is None)
 
 
 def soft_set_to_document(soft_set: SoftSet) -> dict:
@@ -237,9 +249,9 @@ def soft_set_to_document(soft_set: SoftSet) -> dict:
         "grades": {
             param.label: {
                 element: [GRADE_TEXTS[t], GRADE_TEXTS[i], GRADE_TEXTS[f]]
-                for element, t, i, f in zip(soft_set.universe, *soft_set.value_set(param)._columns)
+                for element, t, i, f in zip(soft_set.universe, *columns)
             }
-            for param in soft_set.parameters
+            for param, columns in zip(soft_set.parameters, tick_rows(soft_set))
         },
     }
 
@@ -261,10 +273,10 @@ def serialize_soft_set(soft_set: SoftSet) -> str:
     universe = soft_set.universe
     keys = [quote(element) for element in universe]
     order = sorted(range(len(universe)), key=universe.__getitem__)
-    by_label = {p.label: p for p in soft_set.parameters}
+    by_label = {p.label: columns for p, columns in zip(soft_set.parameters, tick_rows(soft_set))}
     blocks = []
     for label in sorted(by_label):
-        t, i, f = (column.tolist() for column in soft_set.value_set(by_label[label])._columns)
+        t, i, f = by_label[label]
         cells = ",\n".join(
             f'      {keys[k]}: [\n        "{text[t[k]]}",\n        "{text[i[k]]}",\n'
             f'        "{text[f[k]]}"\n      ]'
@@ -330,10 +342,10 @@ def render_table(soft_set: SoftSet) -> str:
     if not soft_set.parameters:
         return "U"
     columns = [["U", *soft_set.universe]]
-    for p in soft_set.parameters:
+    for p, ticks in zip(soft_set.parameters, tick_rows(soft_set)):
         cells = [
             f"({GRADE_TEXTS[t]}, {GRADE_TEXTS[i]}, {GRADE_TEXTS[f]})"
-            for t, i, f in zip(*soft_set.value_set(p)._columns)
+            for t, i, f in zip(*ticks)
         ]
         columns.append([p.label, *cells])
     return format_grid(columns)

@@ -16,9 +16,9 @@ escape hatch is :meth:`GradeTriple.unchecked`).  The first three bounds fail
 exactly when two components exceed one half, and they already cap the sum at
 2.
 
-The soft-set core does not hold these objects: it keeps each value set as
-three aligned ``array("H")`` columns of tick counts and checks them in bulk
-with :func:`first_violation`.  :func:`triples_from_ticks` builds the public
+The soft-set core does not hold these objects: it keeps each soft set's
+grades as three ``array("H")`` columns of tick counts and checks them in
+bulk with :func:`first_violation`.  :func:`triples_from_ticks` builds the public
 objects from ticks when a caller asks for a cell.
 
 Column kernels run on packed lanes: :func:`pack` reads a column as one int

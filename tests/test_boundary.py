@@ -15,21 +15,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inss import (
+    ConstraintViolation,
     DecisionTable,
     DuplicateElement,
     DuplicateParameter,
     InssError,
+    OutOfRange,
     Parameter,
     ParseError,
     PrecisionLoss,
     ReferenceMatrix,
     SoftSet,
+    and_op,
+    complement,
+    intersection,
     load_reference_matrix,
     load_soft_set,
+    or_op,
+    union,
 )
 from inss.cli import main
 from inss.errors import QUOTE_LIMIT, clipped
 from inss.grades import ZERO_TRIPLE, grade_ticks
+from inss.oracle import _join_cells, _raw, _raw_complement, _raw_intersection, _raw_product, _raw_union
 
 FIXTURES = sorted(fixture("shopping.json").parent.glob("*.json"))
 
@@ -106,6 +114,109 @@ class TestErrorOrder:
         grades = {"bright": {"b1": [1, 0, 0], "b2": [True, 0, 0]}}
         with pytest.raises(ParseError, match=r"grades\['bright'\]\['b2'\]: truth True"):
             load_soft_set(write(tmp_path, json.dumps(doc_with(["b1", "b2"], [BRIGHT], grades))))
+
+    @pytest.mark.parametrize(
+        "later",
+        [
+            None,  # no entry at all
+            "not an object",
+            {"b1": ["0", "0", "0"], "b2": ["0", "0", "0"], "b9": ["0", "0", "0"]},
+            {"b1": ["0", "0", "0"]},
+            {"b1": "not a cell", "b2": ["0", "0", "0"]},
+            {"b1": ["oops", "0", "0"], "b2": ["0", "0", "0"]},
+        ],
+    )
+    def test_bounds_in_an_earlier_value_set_win_over_a_later_structural_error(self, tmp_path, later):
+        grades = {"bright": {"b1": ["0", "0", "0"], "b2": ["0.6", "0.7", "0"]}}
+        if later is not None:
+            grades["cheap"] = later
+        doc = doc_with(["b1", "b2"], [BRIGHT, {"name": "cheap", "negated": False}], grades)
+        with pytest.raises(ConstraintViolation) as caught:
+            load_soft_set(write(tmp_path, json.dumps(doc)))
+        assert str(caught.value) == "grades['bright']['b2']: min(truth, indeterminacy) = 0.6 exceeds 0.5"
+
+    @pytest.mark.parametrize(
+        "first, error, message",
+        [
+            (["0.6", "0.7", "0"], ConstraintViolation, "min(truth, indeterminacy) = 0.6 exceeds 0.5"),
+            (["oops", "0", "0"], ParseError, "truth 'oops' is not a decimal number"),
+            (["0", "2", "0"], OutOfRange, "indeterminacy = 2 outside [0, 1]"),
+            ("not a cell", ParseError, "expected [truth, indeterminacy, falsity]"),
+        ],
+    )
+    def test_a_bad_cell_wins_over_a_later_missing_element(self, tmp_path, first, error, message):
+        doc = doc_with(["b1", "b2", "b3"], [BRIGHT], {"bright": {"b1": ["0", "0", "0"], "b2": first}})
+        with pytest.raises(error) as caught:
+            load_soft_set(write(tmp_path, json.dumps(doc)))
+        assert str(caught.value) == f"grades['bright']['b2']: {message}"
+
+
+def unchecked_operands(tmp_path):
+    """Two soft sets on one universe loaded without the joint bounds check.
+
+    ``bad`` breaks the bounds in ``q`` (shared with ``good``) and ``r`` (its
+    own); ``good`` breaks none and has ``s`` to itself.
+    """
+    params = {name: {"name": name, "negated": False} for name in "pqrs"}
+    bad = doc_with(["e1", "e2"], [params["p"], params["q"], params["r"]], {
+        "p": {"e1": ["0.2", "0.2", "0.2"], "e2": ["0.3", "0.1", "0.4"]},
+        "q": {"e1": ["0.1", "0.2", "0.3"], "e2": ["0.6", "0.6", "0"]},
+        "r": {"e1": ["0", "0.7", "0.8"], "e2": ["0", "0", "0"]},
+    })
+    good = doc_with(["e1", "e2"], [params["p"], params["q"], params["s"]], {
+        "p": {"e1": ["0.5", "0", "0.5"], "e2": ["0", "0", "0"]},
+        "q": {"e1": ["0", "0", "1"], "e2": ["0", "0.4", "0"]},
+        "s": {"e1": ["0", "0.9", "0"], "e2": ["0.5", "0.5", "0.5"]},
+    })
+    return tuple(
+        load_soft_set(write(tmp_path, json.dumps(doc), f"{name}.json"), check_grades=False)
+        for name, doc in (("bad", bad), ("good", good))
+    )
+
+
+@pytest.mark.parametrize(
+    "op, operands, outcome",
+    [
+        (union, "bad good", None),
+        (union, "good bad", None),
+        (union, "bad bad", "min(truth, indeterminacy) = 0.6 exceeds 0.5"),
+        (intersection, "bad good", None),
+        (intersection, "good bad", None),
+        (intersection, "bad bad", "min(truth, indeterminacy) = 0.6 exceeds 0.5"),
+        (complement, "bad", "min(falsity, indeterminacy) = 0.6 exceeds 0.5"),
+        (complement, "good", None),
+        (and_op, "bad good", "min(falsity, indeterminacy) = 0.7 exceeds 0.5"),
+        (and_op, "good bad", "min(falsity, indeterminacy) = 0.7 exceeds 0.5"),
+        (or_op, "bad good", None),
+        (or_op, "good bad", None),
+        (or_op, "bad bad", "min(truth, indeterminacy) = 0.6 exceeds 0.5"),
+    ],
+)
+def test_operations_on_unchecked_operands_raise_only_for_a_bad_result(tmp_path, op, operands, outcome):
+    sets = dict(zip(("bad", "good"), unchecked_operands(tmp_path)))
+    args = [sets[name] for name in operands.split()]
+    if outcome is not None:
+        with pytest.raises(ConstraintViolation) as caught:
+            op(*args)
+        assert str(caught.value) == outcome
+        return
+    result = op(*args)
+    raw = [_raw(arg) for arg in args]
+    expected = {
+        union: lambda: _raw_union(*raw),
+        intersection: lambda: _raw_intersection(*raw),
+        complement: lambda: _raw_complement(*raw),
+        or_op: lambda: _raw_product(*raw, _join_cells),
+    }[op]()
+    assert _raw(result) == expected
+
+
+def test_an_unchecked_value_set_carried_by_union_is_checked_by_the_next_operation(tmp_path):
+    bad, good = unchecked_operands(tmp_path)
+    carried = union(good, bad)  # r comes over from bad unchanged
+    with pytest.raises(ConstraintViolation) as caught:
+        complement(carried)
+    assert str(caught.value) == "min(truth, indeterminacy) = 0.7 exceeds 0.5"
 
 
 class TestOneOwnerPerInvariant:
@@ -191,6 +302,52 @@ class TestOneOwnerPerInvariant:
         assert grade_ticks(text) == int(Decimal(text.strip()) * 10000)
 
 
+class TestNumberGrades:
+    @pytest.mark.parametrize(
+        "grade, message",
+        [
+            ("0.12340000000000000001", "PrecisionLoss: truth = 0.12340000000000000001 has more than four decimal places"),
+            ("0.00005", "PrecisionLoss: truth = 0.00005 has more than four decimal places"),
+            ("1e5", "OutOfRange: truth = 1E+5 outside [0, 1]"),
+            ("1.5", "OutOfRange: truth = 1.5 outside [0, 1]"),
+            ("-0.5", "OutOfRange: truth = -0.5 outside [0, 1]"),
+        ],
+    )
+    def test_a_number_grade_is_read_exactly(self, tmp_path, grade, message):
+        doc = json.dumps(doc_with(["b1"], [BRIGHT], {"bright": {"b1": ["MARK", "0", "0"]}}))
+        code, out, err = run("validate", write(tmp_path, doc.replace('"MARK"', grade)))
+        error, text = message.split(": ", 1)
+        assert (code, out, err) == (1, "", f"error: {error}: grades['bright']['b1']: {text}\n")
+
+    def test_number_grades_on_the_grid_load_as_their_text_does(self, tmp_path):
+        cells = '{"b1": [0.5, 1e-4, 0.25e0], "b2": [1.0, 0, 0.0], "b3": [0.1230, 5E-1, 0]}'
+        doc = json.dumps(doc_with(["b1", "b2", "b3"], [BRIGHT], {"bright": "MARK"}))
+        loaded = load_soft_set(write(tmp_path, doc.replace('"MARK"', cells)))
+        rows = [tuple(g.text for g in loaded.triple(Parameter("bright"), e).components()) for e in loaded.universe]
+        assert rows == [("0.5", "0.0001", "0.25"), ("1", "0", "0"), ("0.123", "0.5", "0")]
+
+    def test_numbers_elsewhere_are_quoted_as_written(self, tmp_path):
+        for field, value, message in (
+            ("format_version", "1.5", "unsupported format_version 1.5"),
+            ("universe", "[1.5]", "universe[0]: element id must be a non-empty string, got 1.5"),
+            ("parameters", "[2.5]", "parameters[0]: parameter must be an object, got 2.5"),
+        ):
+            doc = {"format_version": 1, "universe": ["b1"], "parameters": [BRIGHT], "grades": {}}
+            doc[field] = "MARK"
+            with pytest.raises(ParseError) as caught:
+                load_soft_set(write(tmp_path, json.dumps(doc).replace('"MARK"', value)))
+            assert str(caught.value).endswith(message)
+
+    @pytest.mark.parametrize(
+        "value, quoted", [("1.5", "1.5"), ("1e5", "100000.0"), ("0.12340000000000000001", "0.1234")]
+    )
+    def test_reference_matrix_messages_keep_their_float_text(self, tmp_path, value, quoted):
+        doc = '{"format_version": 1, "objects": ["a"], "parameters": ["p"], "entries": [[MARK]]}'
+        with pytest.raises(ParseError) as caught:
+            load_reference_matrix(write(tmp_path, doc.replace("MARK", value)))
+        assert str(caught.value) == f"entries[0]: values must be integers, got {quoted}"
+
+
 class TestStrictJson:
     def test_duplicate_top_level_key(self, tmp_path):
         text = json.dumps(doc_with(["b1"], [BRIGHT], {"bright": {"b1": ["0", "0", "0"]}}))
@@ -254,6 +411,37 @@ class TestStrictJson:
         code, out, err = run("validate", write(tmp_path, json.dumps(doc_with(["b1"], [spec], {}))))
         assert (code, out) == (1, "")
         assert err.startswith("error: ParseError: parameters[0]") and len(err) < 200
+
+    @pytest.mark.parametrize(
+        "universe, names, grades, message",
+        [
+            (["LONG"], ["bright"], {"bright": {"LONG": ["2", "0", "0"]}},
+             "OutOfRange: grades['bright']['CLIP']: truth = 2 outside [0, 1]"),
+            (["b1"], ["LONG"], {"LONG": {"b1": ["oops", "0", "0"]}},
+             "ParseError: grades['CLIP']['b1']: truth 'oops' is not a decimal number"),
+            (["LONG"], ["LONG"], {"LONG": {"LONG": ["0.6", "0.7", "0"]}},
+             "ConstraintViolation: grades['CLIP']['CLIP']: min(truth, indeterminacy) = 0.6 exceeds 0.5"),
+            (["b1"], ["LONG"], {"LONG": {"b1": "not a cell"}},
+             "ParseError: grades['CLIP']['b1']: expected [truth, indeterminacy, falsity]"),
+            (["b1"], ["bright"], {"bright": {"b1": ["0", "0", "0"], "LONG": ["0", "0", "0"]}},
+             "ParseError: grades['bright']: unknown element 'CLIP'"),
+            (["b1", "LONG"], ["bright"], {"bright": {"b1": ["0", "0", "0"]}},
+             "ParseError: grades['bright']: missing element 'CLIP'"),
+            (["b1"], ["bright"], {"bright": {"b1": ["0", "0", "0"]}, "LONG": {}},
+             "ParseError: grades: unknown parameter 'CLIP'"),
+            (["b1"], ["LONG"], {}, "ParseError: grades: missing entry for parameter 'CLIP'"),
+        ],
+    )
+    def test_a_huge_id_or_label_is_clipped_in_error_locations(self, tmp_path, universe, names, grades, message):
+        # Ids and labels of up to QUOTE_LIMIT characters are quoted whole, as the
+        # exact-message tests elsewhere check.
+        long = "x" * 100_000
+        doc = json.dumps(
+            doc_with(universe, [{"name": name, "negated": False} for name in names], grades)
+        ).replace("LONG", long)
+        code, out, err = run("validate", write(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message.replace('CLIP', clipped(long))}\n"
 
     def test_quotes_keep_a_fixed_prefix(self):
         assert clipped("x" * QUOTE_LIMIT) == "x" * QUOTE_LIMIT
