@@ -84,8 +84,9 @@ __all__ = [
 _lone_surrogate = re.compile("[\ud800-\udfff]").search
 
 
-class _Immutable:
-    """Instances refuse attribute assignment and deletion once built."""
+class _Param:
+    """Immutability, and comparison, order, negation, text and pickling
+    through :meth:`sort_key`, a flat key built on demand, never stored."""
 
     __slots__ = ()
 
@@ -95,8 +96,54 @@ class _Immutable:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.sort_key() == other.sort_key())
 
-class Parameter(_Immutable):
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        leaf, pair = "Parameter(name={name!r}, negated={negated!r})", "CompoundParameter(left={left}, right={right})"
+        return _fold(self.sort_key(), leaf.format, pair.format)
+
+    def __reduce__(self) -> tuple:
+        return _fold, (self.sort_key(), Parameter, CompoundParameter)
+
+    def negate(self) -> "ParamLike":
+        return _fold(self.sort_key(), lambda name, negated: Parameter(name, not negated), CompoundParameter)
+
+    def sort_key(self) -> tuple:
+        """Pre-order: ``0, name, negated`` per plain parameter, ``1`` before each product's two
+        parts.  Prefix-free, so it orders trees as nested ``(1, left key, right key)`` keys would."""
+        key, stack = [], [self]
+        while stack:
+            param = stack.pop()
+            if isinstance(param, CompoundParameter):
+                key.append(1)
+                stack += (param.right, param.left)
+            else:
+                key += (0, param.name, param.negated)
+        return tuple(key)
+
+
+def _fold(key: tuple, leaf, pair):
+    """The tree with sort key ``key``, built by ``leaf(name=, negated=)`` and ``pair(left=, right=)``."""
+    lefts, at = [], 0  # per open product, innermost last: its left part once built, else None
+    while True:
+        while key[at]:  # a product opens
+            lefts.append(None)
+            at += 1
+        node, at = leaf(name=key[at + 1], negated=key[at + 2]), at + 3
+        while lefts and lefts[-1] is not None:
+            node = pair(left=lefts.pop(), right=node)
+        if not lefts:
+            return node
+        lefts[-1] = node
+
+
+class Parameter(_Param):
     """A named attribute, possibly carrying a negation flag.
 
     ``negated`` must be a real bool, since the hash is taken at construction.
@@ -117,38 +164,14 @@ class Parameter(_Immutable):
         init(self, "label", f"not {name}" if negated else name)
         init(self, "_hash", hash((name, negated)))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name and self.negated == other.negated
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Parameter(name={self.name!r}, negated={self.negated!r})"
-
-    def __reduce__(self) -> tuple:
-        return Parameter, (self.name, self.negated)
-
-    def negate(self) -> "Parameter":
-        return Parameter(self.name, not self.negated)
-
-    def sort_key(self) -> tuple:
-        return (0, self.name, self.negated)
-
-
-class CompoundParameter(_Immutable):
+class CompoundParameter(_Param):
     """A pair of parameters produced by the AND / OR products.
 
     Negation distributes over the pair, so a compound never carries its own
-    flag.  ``label`` and the hash are built from the pair's own at
-    construction, so building, hashing and indexing a compound never
-    recurses (each level of a chain keeps its own label: O(depth²)
-    characters in all).  Equality between separately built trees,
-    ``negate`` and ``sort_key`` do recurse down the pair, so products
-    chained in Python far past a document's 100 levels (about 500 on
-    CPython 3.11) reach the interpreter's recursion limit there.
+    flag.  Label and hash are built from the pair's own at construction
+    (O(depth²) label characters in all down a chain), and every other walk
+    down the pair is a loop, so chains of any depth compare, print and copy.
     """
 
     __slots__ = ("left", "right", "label", "_hash")
@@ -164,30 +187,7 @@ class CompoundParameter(_Immutable):
         init(self, "label", label)
         init(self, "_hash", digest)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            self._hash == other._hash and self.left == other.left and self.right == other.right
-        )
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"CompoundParameter(left={self.left!r}, right={self.right!r})"
-
-    def __reduce__(self) -> tuple:
-        return CompoundParameter, (self.left, self.right)
-
-    def negate(self) -> "CompoundParameter":
-        return CompoundParameter(self.left.negate(), self.right.negate())
-
-    def sort_key(self) -> tuple:
-        return (1, self.left.sort_key(), self.right.sort_key())
-
-
-_PARAMETERS = (Parameter, CompoundParameter)
 ParamLike = Parameter | CompoundParameter
 
 
@@ -297,7 +297,7 @@ def label_index(parameters: Sequence[ParamLike]) -> dict[str, int]:
     """Each parameter's position, by display label; no parameter or label may repeat."""
     rows: dict[str, int] = {}
     for index, param in enumerate(parameters):
-        if not isinstance(param, _PARAMETERS):
+        if not isinstance(param, _Param):
             raise TypeError(f"not a parameter: {clipped(repr(param))}")
         label = param.label
         if label in rows:

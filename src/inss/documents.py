@@ -37,7 +37,9 @@ from decimal import Decimal
 from itertools import repeat
 from pathlib import Path
 
-from .algebra import CompoundParameter, ParamLike, Parameter, SoftSet, checked_universe, gaps, label_index, tick_rows
+from .algebra import (
+    CompoundParameter, ParamLike, Parameter, SoftSet, _fold, checked_universe, gaps, label_index, tick_rows
+)
 from .decision import ReferenceMatrix
 from .errors import ConstraintViolation, OutOfRange, ParseError, PrecisionLoss, clipped
 from .grades import _TICKS_BY_TEXT, GRADE_TEXTS, first_violation, grade_ticks
@@ -54,8 +56,8 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-# Compound parameters nest at most this deep; a product of two such documents
-# stays well inside what the recursive walks of CompoundParameter can follow.
+# Compound parameters nest at most this deep, since _param_from_spec reads
+# them with one recursive call per level and a document's depth is outside input.
 _MAX_NESTING = 100
 
 
@@ -133,9 +135,7 @@ def _param_from_spec(spec: object, where: str, depth: int = 0) -> ParamLike:
 
 
 def _param_to_spec(param: ParamLike) -> dict:
-    if isinstance(param, Parameter):
-        return {"name": param.name, "negated": param.negated}
-    return {"left": _param_to_spec(param.left), "right": _param_to_spec(param.right)}
+    return _fold(param.sort_key(), dict, dict)
 
 
 def _value_set(label: str, cells: object, universe: tuple[str, ...], positions: dict, columns: tuple) -> None:

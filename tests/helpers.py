@@ -21,8 +21,17 @@ ONE_DECIMAL = tuple(k * 1000 for k in range(11))
 FOUR_DECIMAL = tuple(range(GRADE_SCALE + 1))
 
 
+# Frames a caller may have in use already when it calls the library.
+EXTRA_FRAMES = 300
+
+
 def fixture(name: str) -> Path:
     return FIXTURE_DIR / name
+
+
+def beneath(frames: int, call, *args):
+    """``call(*args)``, made ``frames`` Python frames deeper than this call."""
+    return beneath(frames - 1, call, *args) if frames else call(*args)
 
 
 def random_triple(rng: random.Random) -> GradeTriple:

@@ -3,7 +3,9 @@ import pickle
 import random
 
 import pytest
-from helpers import fixture, random_soft_set
+from helpers import EXTRA_FRAMES, beneath, fixture, random_soft_set
+from hypothesis import given
+from hypothesis import strategies as st
 
 from inss import (
     CompoundParameter,
@@ -27,6 +29,8 @@ from inss import (
     load_soft_set,
     not_parameters,
     or_op,
+    save_soft_set,
+    soft_set_to_document,
     union,
 )
 
@@ -42,6 +46,35 @@ def tiny(universe=("x", "y"), names=("p", "q"), fill=(3000, 2000, 4000)):
     params = [Parameter(n) for n in names]
     family = {p: {e: triple(*fill) for e in universe} for p in params}
     return SoftSet(universe, params, family)
+
+
+def parameter_trees(depth=6):
+    """Parameters nested up to ``depth`` products deep, with names that look like labels."""
+    names = st.sampled_from(["a", "b", "a, b", "b, c", "not a", "not a, b", "(a, b)"])
+    trees = st.builds(Parameter, names, st.booleans())
+    for _ in range(depth):
+        trees = st.one_of(trees, st.builds(CompoundParameter, trees, trees))
+    return trees
+
+
+# Naive recursive references for the parameter classes' own loops.
+def nested_key(p):
+    if isinstance(p, CompoundParameter):
+        return (1, nested_key(p.left), nested_key(p.right))
+    return (0, p.name, p.negated)
+
+
+def naive_repr(p):
+    if isinstance(p, CompoundParameter):
+        return f"CompoundParameter(left={naive_repr(p.left)}, right={naive_repr(p.right)})"
+    return f"Parameter(name={p.name!r}, negated={p.negated!r})"
+
+
+def rebuilt(p, flip=False):
+    """The same tree built anew, every flag flipped when ``flip``."""
+    if isinstance(p, CompoundParameter):
+        return CompoundParameter(rebuilt(p.left, flip), rebuilt(p.right, flip))
+    return Parameter(p.name, p.negated is not flip)
 
 
 class TestParameters:
@@ -127,24 +160,80 @@ class TestParameters:
             SoftSet(("x",), [one, other], {})
         assert str(caught.value) == f"parameters[1]: {one!r} and {other!r} share label '(a, b, c)'"
 
+    @pytest.mark.parametrize("product", [and_op, or_op])
+    def test_a_product_label_collision_quotes_both_pairs(self, product):
+        # Spelled out, so that a change in either class's repr shows here.
+        with pytest.raises(DuplicateParameter) as caught:
+            product(tiny(universe=("x",), names=("a, b", "a")), tiny(universe=("x",), names=("c", "b, c")))
+        assert str(caught.value) == (
+            "parameters[3]: CompoundParameter(left=Parameter(name='a, b', negated=False), "
+            "right=Parameter(name='c', negated=False)) and "
+            "CompoundParameter(left=Parameter(name='a', negated=False), "
+            "right=Parameter(name='b, c', negated=False)) share label '(a, b, c)'"
+        )
+
     def test_copies_and_pickles_are_equal(self):
         pair = CompoundParameter(Parameter("a", True), Parameter("b"))
         for copied in (copy.copy(pair), copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
             assert copied == pair and hash(copied) == hash(pair) and copied.label == pair.label
 
+    @given(params=st.lists(parameter_trees(), max_size=6))
+    def test_parameters_behave_as_their_nested_structure(self, params):
+        params += [rebuilt(p) for p in params]  # equal trees, built apart
+        by_key, by_nested = sorted(params, key=lambda p: p.sort_key()), sorted(params, key=nested_key)
+        assert list(map(id, by_key)) == list(map(id, by_nested))
+        for p in params:
+            assert repr(p) == naive_repr(p)
+            assert nested_key(p.negate()) == nested_key(rebuilt(p, flip=True)) and p.negate().negate() == p
+            for q in params:
+                same = nested_key(p) == nested_key(q)
+                assert (p == q) is same and (p != q) is not same and (not same or hash(p) == hash(q))
+                assert (p.sort_key() < q.sort_key()) is (nested_key(p) < nested_key(q))
+
+    @given(param=parameter_trees())
+    def test_a_parameter_survives_save_and_load(self, tmp_path_factory, param):
+        path = tmp_path_factory.getbasetemp() / "one_parameter.json"
+        save_soft_set(SoftSet(("x",), [param], {param: {"x": triple(0, 0, 0)}}), path)
+        (loaded,) = load_soft_set(path).parameters
+        assert loaded == param and nested_key(loaded) == nested_key(param) and loaded.label == param.label
+
     def test_a_chain_of_a_thousand_products(self):
-        # Labels and hashes come from the children's, so no step recurses;
-        # each level's label holds the whole chain, O(depth ** 2) characters in all.
-        leaf = tiny(universe=("x",), names=("b",))
-        chain = tiny(universe=("x",), names=("a",))
-        for _ in range(1000):
-            chain = and_op(chain, leaf)
-        (top,) = chain.parameters
-        assert top.label == "(" * 1000 + "a" + ", b)" * 1000
-        assert chain.find_parameter(top.label) is top
-        assert CompoundParameter(top.left, top.right) == top
-        assert hash(CompoundParameter(top.left, top.right)) == hash(top)
-        assert chain.triple(top, "x") == triple(3000, 2000, 4000)
+        # Labels and hashes come from the children's and every other walk over
+        # a parameter is a loop, so nothing recurses, even deep in a caller's
+        # stack; each level's label holds the whole chain, O(depth ** 2)
+        # characters in all.
+        def chain_of(depth):
+            chain = tiny(universe=("x",), names=("a",))
+            for _ in range(depth):
+                chain = and_op(chain, tiny(universe=("x",), names=("b",)))
+            return chain
+
+        def check(chain, twin, depth):
+            (top,), (other,) = chain.parameters, twin.parameters
+            assert top is not other and top == other and not top != other
+            assert hash(top) == hash(other) and {top: 1}[other] == 1
+            assert top.label == "(" * depth + "a" + ", b)" * depth
+            assert top.sort_key() == (1,) * depth + (0, "a", False) + (0, "b", False) * depth
+            assert chain.find_parameter(top.label) is top
+            assert chain.triple(top, "x") == triple(3000, 2000, 4000)
+            assert equals(chain, twin) and canonicalize(chain) == twin
+            assert complement(chain).parameters[0].label == "(" * depth + "not a" + ", not b)" * depth
+            assert complement(complement(chain)) == twin
+            assert repr(top) == (
+                "CompoundParameter(left=" * depth
+                + "Parameter(name='a', negated=False)"
+                + ", right=Parameter(name='b', negated=False))" * depth
+            )
+            for copied in (pickle.loads(pickle.dumps(top)), copy.deepcopy(top)):
+                assert copied is not top and copied == top and copied.label == top.label
+            spec = soft_set_to_document(chain)["parameters"][0]
+            for _ in range(depth):
+                assert set(spec) == {"left", "right"} and spec["right"] == {"name": "b", "negated": False}
+                spec = spec["left"]
+            assert spec == {"name": "a", "negated": False}
+
+        for depth in (1000, 5000):
+            beneath(EXTRA_FRAMES, check, chain_of(depth), chain_of(depth), depth)
 
 
 class TestConstruction:

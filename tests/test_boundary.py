@@ -10,7 +10,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from helpers import fixture
+from helpers import EXTRA_FRAMES, beneath, fixture
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,14 +64,6 @@ BRIGHT = {"name": "bright", "negated": False}
 
 ALL_COMMANDS = ("validate", "show", "complement", "union", "intersect", "subset", "equals", "and", "or", "decide")
 ONE_FILE_COMMANDS = {"validate", "show", "complement", "decide"}
-EXTRA_FRAMES = 300
-
-
-def run_beneath(frames, *argv):
-    """``run`` called ``frames`` Python frames deeper than this call."""
-    return run_beneath(frames - 1, *argv) if frames else run(*argv)
-
-
 def chained_product_document(depth):
     """One parameter ``depth`` products deep, along the left, over two elements."""
     spec = '{"name": "a", "negated": false}'
@@ -464,7 +456,7 @@ class TestStrictJson:
                 load_soft_set(path)
         for command in ALL_COMMANDS:
             args = [command, path] if command in ONE_FILE_COMMANDS else [command, path, path]
-            code, _, err = run_beneath(EXTRA_FRAMES, *args)
+            code, _, err = beneath(EXTRA_FRAMES, run, *args)
             if depth <= 100:
                 assert (command, code, err) == (command, 0, "")
             else:
@@ -474,8 +466,8 @@ class TestStrictJson:
     def test_product_of_two_deepest_documents_is_one_level_too_deep(self, tmp_path):
         path = write(tmp_path, chained_product_document(100))
         out = tmp_path / "product.json"
-        assert run_beneath(EXTRA_FRAMES, "and", path, path, "--out", out) == (0, "", "")
-        code, _, err = run_beneath(EXTRA_FRAMES, "validate", out)
+        assert beneath(EXTRA_FRAMES, run, "and", path, path, "--out", out) == (0, "", "")
+        code, _, err = beneath(EXTRA_FRAMES, run, "validate", out)
         assert code == 1
         assert err.startswith("error: ParseError: parameters[0].left") and "nested too deeply" in err
 
