@@ -24,9 +24,9 @@ it stands.  Matrices are never changed once built, so soft sets share them
 freely.  A soft set also records whether its cells are known to be valid: a
 result computed from valid sets is valid without a check, and any other
 result is checked in bulk, raising ConstraintViolation for its first bad
-cell in row order.  Value sets (``InsSet``) are read-only views of one row,
-built the first time a caller asks for one, and GradeTriple objects are
-built from a view only when a caller looks a cell up.
+cell in row order.  The matrix is the only store of ticks: a value set
+(``InsSet``) is a plain mapping of its GradeTriples, which a soft set builds
+from one row the first time a caller asks for that value set, then keeps.
 
 Parameters are small immutable objects compared by structure.  Each
 computes its label and hash once, at construction, from its children's, so
@@ -50,7 +50,6 @@ from .errors import (
     clipped,
 )
 from .grades import (
-    COMPONENTS,
     GradeTriple,
     at_least,
     first_violation,
@@ -216,13 +215,12 @@ def gaps(expected: dict, given: Mapping) -> tuple[list, list]:
 class InsSet(Mapping):
     """A total assignment of grade triples over an ordered universe.
 
-    The grades are held as three ``array("H")`` columns of tick counts,
-    never changed once built; the GradeTriple objects are built the first
-    time an element is looked up.  A soft set hands out its value sets as
-    read-only views of its rows (see :meth:`SoftSet.value_set`).
+    It keeps one dict of its GradeTriples, keyed in universe order, never
+    changed once built.  A soft set hands out its value sets as read-only
+    InsSets built from its rows (see :meth:`SoftSet.value_set`).
     """
 
-    __slots__ = ("_universe", "_columns", "_cells")
+    __slots__ = ("_universe", "_cells")
 
     def __init__(self, universe: Sequence[str], triples: Mapping[str, GradeTriple]):
         universe = tuple(universe)
@@ -234,34 +232,26 @@ class InsSet(Mapping):
             if extra:
                 parts.append(f"unknown elements {sorted(extra)}")
             raise ValueError("value set " + ", ".join(parts))
-        given = [triples[e] for e in universe]
-        for element, triple in zip(universe, given):
+        cells = {element: triples[element] for element in universe}
+        for element, triple in cells.items():
             if not isinstance(triple, GradeTriple):
                 raise TypeError(f"value for {element!r} is not a GradeTriple")
-        columns = tuple(array("H", [getattr(triple, name).ten_thousandths for triple in given]) for name in COMPONENTS)
-        self._universe, self._columns, self._cells = universe, columns, None
+        self._universe, self._cells = universe, cells
 
     @classmethod
-    def _view(cls, universe: tuple[str, ...], columns: Columns) -> "InsSet":
-        """The value set of one soft-set row: ``columns`` are its ticks, kept without copying."""
+    def _of(cls, universe: tuple[str, ...], cells: dict[str, GradeTriple]) -> "InsSet":
+        """The value set over ``universe`` holding ``cells``, triples keyed in
+        universe order, which it keeps without copying or checking."""
         self = cls.__new__(cls)
-        self._universe, self._columns, self._cells = universe, columns, None
+        self._universe, self._cells = universe, cells
         return self
 
     @property
     def universe(self) -> tuple[str, ...]:
         return self._universe
 
-    def _triples(self) -> dict[str, GradeTriple]:
-        if self._cells is None:
-            self._cells = triples_from_ticks(self._universe, *self._columns)
-        return self._cells
-
     def __getitem__(self, element: str) -> GradeTriple:
-        cells = self._cells
-        if cells is None:
-            cells = self._triples()
-        return cells[element]
+        return self._cells[element]
 
     def __iter__(self):
         return iter(self._universe)
@@ -269,13 +259,8 @@ class InsSet(Mapping):
     def __len__(self) -> int:
         return len(self._universe)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, InsSet) and other._universe == self._universe:
-            return other._columns == self._columns
-        return Mapping.__eq__(self, other)
-
     def __repr__(self) -> str:
-        return f"InsSet({self._triples()!r})"
+        return f"InsSet({self._cells!r})"
 
 
 def checked_universe(elements: Iterable) -> tuple[str, ...]:
@@ -284,11 +269,13 @@ def checked_universe(elements: Iterable) -> tuple[str, ...]:
     seen: set[str] = set()
     for index, element in enumerate(universe):
         if not isinstance(element, str) or not element:
-            raise ValueError(f"universe[{index}]: element id must be a non-empty string, got {element!r}")
+            raise ValueError(f"universe[{index}]: element id must be a non-empty string, got {clipped(repr(element))}")
         if _lone_surrogate(element):
-            raise ValueError(f"universe[{index}]: element id must not contain a lone surrogate, got {element!r}")
+            raise ValueError(
+                f"universe[{index}]: element id must not contain a lone surrogate, got {clipped(repr(element))}"
+            )
         if element in seen:
-            raise DuplicateElement(f"universe[{index}]: duplicate element id '{element}'")
+            raise DuplicateElement(f"universe[{index}]: duplicate element id '{clipped(element)}'")
         seen.add(element)
     return universe
 
@@ -303,7 +290,7 @@ def label_index(parameters: Sequence[ParamLike]) -> dict[str, int]:
         if label in rows:
             known = parameters[rows[label]]
             if known == param:
-                raise DuplicateParameter(f"parameters[{index}]: duplicate parameter '{label}'")
+                raise DuplicateParameter(f"parameters[{index}]: duplicate parameter '{clipped(label)}'")
             raise DuplicateParameter(f"parameters[{index}]: {known!r} and {param!r} share label '{label}'")
         rows[label] = index
     return rows
@@ -340,17 +327,16 @@ class SoftSet:
                 parts.append(f"value sets for undeclared parameters {sorted(p.label for p in extra)}")
             raise ValueError("family mismatch: " + ", ".join(parts))
 
-        stacked = ([], [], [])
+        truth, indeterminacy, falsity = [], [], []
         for param in parameters:
-            value_set = family[param]
-            if not (isinstance(value_set, InsSet) and value_set.universe == universe):
-                try:
-                    value_set = InsSet(universe, value_set)
-                except ValueError as err:
-                    raise ValueError(f"parameter '{param.label}': {err}") from None
-            for columns, column in zip(stacked, value_set._columns):
-                columns.append(column)
-        ticks = tuple(array("H", b"".join(columns)) for columns in stacked)
+            try:
+                triples = InsSet(universe, family[param])._cells.values()
+            except ValueError as err:
+                raise ValueError(f"parameter '{param.label}': {err}") from None
+            truth += [triple.truth.ten_thousandths for triple in triples]
+            indeterminacy += [triple.indeterminacy.ten_thousandths for triple in triples]
+            falsity += [triple.falsity.ten_thousandths for triple in triples]
+        ticks = (array("H", truth), array("H", indeterminacy), array("H", falsity))
         self._set(universe, parameters, rows, ticks, first_violation(*ticks) is None)
 
     @classmethod
@@ -394,15 +380,15 @@ class SoftSet:
         return self._row(param) is not None
 
     def value_set(self, param: ParamLike) -> InsSet:
-        """A read-only view of ``param``'s row, built when first asked for."""
+        """``param``'s value set, its triples built from its row when first asked for."""
         view = self._views.get(param)
         if view is None:
             row = self._row(param)
             if row is None:
-                raise UnknownParameter(f"unknown parameter '{param.label}'")
+                raise UnknownParameter(f"unknown parameter '{clipped(param.label)}'")
             start, size = row * len(self._universe), len(self._universe)
-            columns = tuple(column[start : start + size] for column in self._ticks)
-            view = self._views[param] = InsSet._view(self._universe, columns)
+            cells = triples_from_ticks(self._universe, *(column[start : start + size] for column in self._ticks))
+            view = self._views[param] = InsSet._of(self._universe, cells)
         return view
 
     def triple(self, param: ParamLike, element: str) -> GradeTriple:
@@ -413,7 +399,7 @@ class SoftSet:
         try:
             return self._parameters[self._rows[label]]
         except (KeyError, TypeError):
-            raise UnknownParameter(f"unknown parameter '{label}'") from None
+            raise UnknownParameter(f"unknown parameter '{clipped(str(label))}'") from None
 
     def restrict(self, parameters: Sequence[ParamLike]) -> "SoftSet":
         """The same universe, narrowed to the given parameters in the given order."""
@@ -422,7 +408,7 @@ class SoftSet:
         for param in parameters:
             row = self._row(param)
             if row is None:
-                raise UnknownParameter(f"unknown parameter '{param.label}'")
+                raise UnknownParameter(f"unknown parameter '{clipped(param.label)}'")
             rows.append(row)
         ticks = _stacked(len(self._universe), [(self._ticks, row) for row in rows])
         return SoftSet._of(self._universe, parameters, label_index(parameters), ticks, self._valid)

@@ -78,7 +78,7 @@ def _read_json(source: str | Path, parse_float=None) -> object:
         if len(obj) < len(pairs):
             seen: set[str] = set()
             key = next(key for key, _ in pairs if key in seen or seen.add(key))
-            raise ParseError(f"{source}: duplicate key {key!r}")
+            raise ParseError(f"{source}: duplicate key {clipped(repr(key))}")
         return obj
 
     try:
@@ -106,7 +106,7 @@ def _check_document(doc: object, required: set[str], where: str) -> None:
     if missing:
         raise ParseError(f"{where}: missing key(s) {missing}")
     if extra:
-        raise ParseError(f"{where}: unexpected key(s) {extra}")
+        raise ParseError(f"{where}: unexpected key(s) {clipped(str(extra))}")
     version = doc["format_version"]
     if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ParseError(f"{where}: unsupported format_version {clipped(repr(version))}")
@@ -130,7 +130,7 @@ def _param_from_spec(spec: object, where: str, depth: int = 0) -> ParamLike:
             _param_from_spec(spec["right"], f"{where}.right", depth + 1),
         )
     raise ParseError(
-        f"{where}: expected keys {{'name', 'negated'}} or {{'left', 'right'}}, got {sorted(spec)}"
+        f"{where}: expected keys {{'name', 'negated'}} or {{'left', 'right'}}, got {clipped(str(sorted(spec)))}"
     )
 
 

@@ -19,7 +19,7 @@ exactly when two components exceed one half, and they already cap the sum at
 The soft-set core does not hold these objects: it keeps each soft set's
 grades as three ``array("H")`` columns of tick counts and checks them in
 bulk with :func:`first_violation`.  :func:`triples_from_ticks` builds the public
-objects from ticks when a caller asks for a cell.
+objects from one row of ticks when a caller first asks for that row's value set.
 
 Column kernels run on packed lanes: :func:`pack` reads a column as one int
 holding one tick per 16-bit lane, in the machine's byte order, and

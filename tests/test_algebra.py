@@ -289,6 +289,96 @@ class TestConstruction:
         with pytest.raises(UnknownParameter):
             s.restrict([Parameter("other")])
 
+    def test_constructor_errors_name_the_culprit(self):
+        p = Parameter("p")
+        with pytest.raises(TypeError) as caught:
+            SoftSet(("o1",), ["p"], {})
+        assert str(caught.value) == "not a parameter: 'p'"
+        with pytest.raises(ValueError) as caught:
+            SoftSet(("o1",), [p], {p: {"o1": triple(0, 0, 0)}, Parameter("q"): {}})
+        assert str(caught.value) == "family mismatch: value sets for undeclared parameters ['q']"
+        with pytest.raises(ValueError) as caught:
+            SoftSet(("o1",), [p], {p: {}})
+        assert str(caught.value) == "parameter 'p': value set missing elements ['o1']"
+
+
+class TestValueSets:
+    CELLS = {"y": triple(1, 2, 3), "x": triple(5000, 0, 0)}
+    REPR = (
+        "InsSet({'x': GradeTriple(truth=Grade(ten_thousandths=5000), indeterminacy=Grade(ten_thousandths=0), "
+        "falsity=Grade(ten_thousandths=0)), 'y': GradeTriple(truth=Grade(ten_thousandths=1), "
+        "indeterminacy=Grade(ten_thousandths=2), falsity=Grade(ten_thousandths=3))})"
+    )
+
+    def test_equality_is_by_element_and_triple(self):
+        built = InsSet(("x", "y"), self.CELLS)
+        assert built == InsSet(("x", "y"), dict(self.CELLS))
+        assert built == InsSet(("y", "x"), self.CELLS)
+        assert built == self.CELLS and self.CELLS == built
+        assert built != InsSet(("x", "y"), {**self.CELLS, "y": triple(1, 2, 4)})
+        assert built != {"x": self.CELLS["x"]}
+
+    def test_a_built_value_set_keeps_the_given_triples(self):
+        built = InsSet(("x", "y"), self.CELLS)
+        assert all(built[element] is triple for element, triple in self.CELLS.items())
+        assert built.universe == tuple(built) == ("x", "y") and len(built) == 2
+
+    def test_a_value_set_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(InsSet(("x", "y"), self.CELLS))
+
+    def test_repr_lists_the_triples_in_universe_order(self):
+        p = Parameter("p")
+        built = InsSet(("x", "y"), self.CELLS)
+        assert repr(built) == self.REPR
+        assert repr(SoftSet(("x", "y"), [p], {p: self.CELLS}).value_set(p)) == self.REPR
+
+    def test_views_rebuild_the_soft_set(self):
+        s = random_soft_set(random.Random(11))
+        rebuilt = SoftSet(s.universe, s.parameters, {p: s.value_set(p) for p in s.parameters})
+        assert rebuilt == s
+        assert all(rebuilt.value_set(p) == s.value_set(p) for p in s.parameters)
+
+
+class TestLabelCollisions:
+    """Parameters that differ but share a label, one on each side."""
+
+    LEFT = CompoundParameter(Parameter("a"), Parameter("b, c"))
+    RIGHT = CompoundParameter(Parameter("a, b"), Parameter("c"))
+
+    def over(self, param):
+        return SoftSet(("x",), [param], {param: {"x": triple(1000, 2000, 3000)}})
+
+    def test_a_same_label_is_not_the_same_parameter(self):
+        left, right = self.over(self.LEFT), self.over(self.RIGHT)
+        assert self.LEFT.label == self.RIGHT.label == "(a, b, c)"
+        assert not is_subset(left, right) and not equals(left, right)
+        assert not left.has_parameter(self.RIGHT)
+        with pytest.raises(UnknownParameter) as caught:
+            left.value_set(self.RIGHT)
+        assert str(caught.value) == "unknown parameter '(a, b, c)'"
+        with pytest.raises(EmptyParameterIntersection):
+            intersection(left, right)
+        with pytest.raises(DuplicateParameter) as caught:
+            union(left, right)
+        assert str(caught.value) == (
+            "parameters[1]: CompoundParameter(left=Parameter(name='a', negated=False), "
+            "right=Parameter(name='b, c', negated=False)) and "
+            "CompoundParameter(left=Parameter(name='a, b', negated=False), "
+            "right=Parameter(name='c', negated=False)) share label '(a, b, c)'"
+        )
+
+    def test_a_complement_can_collide(self):
+        # Valid as given: the labels 'not x' and 'x' differ until both are negated.
+        params = [Parameter("not x", True), Parameter("x")]
+        s = SoftSet(("x",), params, {p: {"x": triple(0, 0, 0)} for p in params})
+        with pytest.raises(DuplicateParameter) as caught:
+            complement(s)
+        assert str(caught.value) == (
+            "parameters[1]: Parameter(name='not x', negated=False) and "
+            "Parameter(name='x', negated=True) share label 'not x'"
+        )
+
 
 class TestGoldenTables:
     def test_union_matches_golden(self):

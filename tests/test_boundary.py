@@ -422,6 +422,8 @@ class TestStrictJson:
             (["b1"], ["bright"], {"bright": {"b1": ["0", "0", "0"]}, "LONG": {}},
              "ParseError: grades: unknown parameter 'CLIP'"),
             (["b1"], ["LONG"], {}, "ParseError: grades: missing entry for parameter 'CLIP'"),
+            (["LONG", "LONG"], ["bright"], {}, "DuplicateElement: universe[1]: duplicate element id 'CLIP'"),
+            (["b1"], ["LONG", "LONG"], {}, "DuplicateParameter: parameters[1]: duplicate parameter 'CLIP'"),
         ],
     )
     def test_a_huge_id_or_label_is_clipped_in_error_locations(self, tmp_path, universe, names, grades, message):
@@ -434,6 +436,35 @@ class TestStrictJson:
         code, out, err = run("validate", write(tmp_path, doc))
         assert (code, out) == (1, "")
         assert err == f"error: {message.replace('CLIP', clipped(long))}\n"
+
+    @pytest.mark.parametrize(
+        "argv, text, value, message",
+        [
+            (("validate", "SOURCE"), json.dumps(doc_with([["LONG"]], [BRIGHT], {})), ["LONG"],
+             "ParseError: universe[0]: element id must be a non-empty string, got QUOTE"),
+            (("validate", "SOURCE"), json.dumps(doc_with(["\ud800" * 300], [BRIGHT], {})), "\ud800" * 300,
+             "ParseError: universe[0]: element id must not contain a lone surrogate, got QUOTE"),
+            (("validate", "SOURCE"), '{"LONG": 0, "LONG": 1}', "LONG", "ParseError: SOURCE: duplicate key QUOTE"),
+            (("validate", "SOURCE"), json.dumps({**doc_with(["b1"], [BRIGHT], {}), "LONG": 0}), ["LONG"],
+             "ParseError: SOURCE: unexpected key(s) QUOTE"),
+            (("validate", "SOURCE"), json.dumps(doc_with(["b1"], [{"LONG": 0}], {})), ["LONG"],
+             "ParseError: parameters[0]: expected keys {'name', 'negated'} or {'left', 'right'}, got QUOTE"),
+            (("decide", "SOURCE", "--params", "LONG"),
+             json.dumps(doc_with(["b1"], [BRIGHT], {"bright": {"b1": ["0", "0", "0"]}})), None,
+             "UnknownParameter: unknown parameter 'CLIP'"),
+        ],
+        ids=["non-string id", "lone surrogate id", "duplicate key", "unexpected key", "spec keys", "params label"],
+    )
+    def test_a_huge_outside_value_is_clipped_in_messages(self, tmp_path, argv, text, value, message):
+        # QUOTE stands for the clipped repr of value, CLIP for the clipped value.
+        long = "x" * 100_000
+        source = write(tmp_path, text.replace("LONG", long))
+        code, out, err = run(*[{"SOURCE": source, "LONG": long}.get(arg, arg) for arg in argv])
+        assert (code, out) == (1, "")
+        quote = clipped(repr(value).replace("LONG", long))
+        assert err == f"error: {message.replace('QUOTE', quote).replace('CLIP', clipped(long))}\n".replace(
+            "SOURCE", str(source)
+        )
 
     def test_quotes_keep_a_fixed_prefix(self):
         assert clipped("x" * QUOTE_LIMIT) == "x" * QUOTE_LIMIT

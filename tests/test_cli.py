@@ -161,6 +161,20 @@ class TestSetOperations:
         assert code == 1
         assert err.startswith("error: EmptyParameterIntersection:")
 
+    def test_a_complement_whose_labels_collide_fails_cleanly(self, capsys, tmp_path):
+        source = tmp_path / "collide.json"
+        source.write_text(json.dumps({
+            "format_version": 1,
+            "universe": ["b1"],
+            "parameters": [{"name": "not x", "negated": True}, {"name": "x", "negated": False}],
+            "grades": {label: {"b1": ["0", "0", "0"]} for label in ("not not x", "x")},
+        }), encoding="utf-8")
+        assert run(capsys, "validate", source) == (0, "ok: 1 elements, 2 parameters\n", "")
+        assert run(capsys, "complement", source) == (1, "", (
+            "error: DuplicateParameter: parameters[1]: Parameter(name='not x', negated=False) and "
+            "Parameter(name='x', negated=True) share label 'not x'\n"
+        ))
+
     def test_mismatched_universes_fail_cleanly(self, capsys):
         code, _, err = run(
             capsys, "union", fixture("attractiveness.json"), fixture("sizes.json")
