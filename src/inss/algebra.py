@@ -228,14 +228,14 @@ class InsSet(Mapping):
         if missing or extra:
             parts = []
             if missing:
-                parts.append(f"missing elements {missing}")
+                parts.append(f"missing elements {clipped(str(missing))}")
             if extra:
-                parts.append(f"unknown elements {sorted(extra)}")
+                parts.append(f"unknown elements {clipped(str(sorted(extra)))}")
             raise ValueError("value set " + ", ".join(parts))
         cells = {element: triples[element] for element in universe}
         for element, triple in cells.items():
             if not isinstance(triple, GradeTriple):
-                raise TypeError(f"value for {element!r} is not a GradeTriple")
+                raise TypeError(f"value for {clipped(repr(element))} is not a GradeTriple")
         self._universe, self._cells = universe, cells
 
     @classmethod
@@ -322,9 +322,9 @@ class SoftSet:
         if missing or extra:
             parts = []
             if missing:
-                parts.append(f"missing value sets for {sorted(p.label for p in missing)}")
+                parts.append(f"missing value sets for {clipped(str(sorted(p.label for p in missing)))}")
             if extra:
-                parts.append(f"value sets for undeclared parameters {sorted(p.label for p in extra)}")
+                parts.append(f"value sets for undeclared parameters {clipped(str(sorted(p.label for p in extra)))}")
             raise ValueError("family mismatch: " + ", ".join(parts))
 
         truth, indeterminacy, falsity = [], [], []
@@ -332,7 +332,7 @@ class SoftSet:
             try:
                 triples = InsSet(universe, family[param])._cells.values()
             except ValueError as err:
-                raise ValueError(f"parameter '{param.label}': {err}") from None
+                raise ValueError(f"parameter '{clipped(param.label)}': {err}") from None
             truth += [triple.truth.ten_thousandths for triple in triples]
             indeterminacy += [triple.indeterminacy.ten_thousandths for triple in triples]
             falsity += [triple.falsity.ten_thousandths for triple in triples]
@@ -458,7 +458,7 @@ def _stacked(size: int, pieces: list[tuple[Columns, int]]) -> Columns:
 def _require_same_universe(left: SoftSet, right: SoftSet) -> None:
     if left.universe != right.universe:
         raise UniverseMismatch(
-            f"universes differ: {list(left.universe)} vs {list(right.universe)}"
+            f"universes differ: {clipped(str(list(left.universe)))} vs {clipped(str(list(right.universe)))}"
         )
 
 

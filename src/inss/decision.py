@@ -20,11 +20,10 @@ parameter; CellAudit objects are built only when a caller reads
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .algebra import CompoundParameter, ParamLike, Parameter, SoftSet, tick_rows
-from .errors import EmptyParameterSet, EmptyUniverse, ReferenceMismatch
-from .grades import GradeTriple
+from .errors import EmptyParameterSet, EmptyUniverse, ReferenceMismatch, clipped
+from .grades import GradeTriple, Record
 
 __all__ = [
     "DecisionTable",
@@ -93,17 +92,21 @@ class DecisionTable:
         return f"DecisionTable({len(self._objects)} objects, {len(self._parameters)} parameters)"
 
 
-@dataclass(frozen=True)
-class CellAudit:
+class CellAudit(Record):
     """The three counts behind one matrix entry.
 
     Each field counts the other objects whose component this object matches
     or beats under the same parameter.
     """
 
-    truth_wins: int
-    indeterminacy_wins: int
-    falsity_wins: int
+    __slots__ = ("truth_wins", "indeterminacy_wins", "falsity_wins")
+
+    def __init__(self, truth_wins: int, indeterminacy_wins: int, falsity_wins: int) -> None:
+        # One per matrix cell when ``audits`` is read, so it skips the base's argument binding.
+        init = object.__setattr__
+        init(self, "truth_wins", truth_wins)
+        init(self, "indeterminacy_wins", indeterminacy_wins)
+        init(self, "falsity_wins", falsity_wins)
 
     @property
     def value(self) -> int:
@@ -220,13 +223,10 @@ def comparison_matrix(table: DecisionTable) -> ComparisonMatrix:
     return ComparisonMatrix._of(table.objects, table.parameters, tuple(map(tuple, per_component)))
 
 
-@dataclass(frozen=True)
-class ScoreVector:
+class ScoreVector(Record):
     """Row sums of the comparison matrix, plus the ranking they induce."""
 
-    objects: tuple[str, ...]
-    scores: tuple[int, ...]
-    ranking: tuple[str, ...]
+    __slots__ = ("objects", "scores", "ranking")
 
 
 def scores(matrix: ComparisonMatrix) -> ScoreVector:
@@ -236,15 +236,13 @@ def scores(matrix: ComparisonMatrix) -> ScoreVector:
     return ScoreVector(matrix.objects, totals, tuple(matrix.objects[i] for i in order))
 
 
-@dataclass(frozen=True)
-class ReferenceMatrix:
-    """An externally supplied matrix to audit the computed one against."""
+class ReferenceMatrix(Record):
+    """An externally supplied matrix to audit the computed one against:
+    ``entries`` holds one row per object, one int per parameter label."""
 
-    objects: tuple[str, ...]
-    parameter_labels: tuple[str, ...]
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("objects", "parameter_labels", "entries")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.entries) != len(self.objects):
             raise ValueError("entries: need exactly one row per object")
         for index, row in enumerate(self.entries):
@@ -252,23 +250,18 @@ class ReferenceMatrix:
                 raise ValueError(f"entries[{index}]: need exactly one value per parameter")
 
 
-@dataclass(frozen=True)
-class MatrixDiff:
+class MatrixDiff(Record):
     """One cell where the computed matrix disagrees with the reference."""
 
-    object_id: str
-    parameter: ParamLike
-    computed: int
-    reference: int
+    __slots__ = ("object_id", "parameter", "computed", "reference")
 
 
 def _diff_against(matrix: ComparisonMatrix, reference: ReferenceMatrix) -> tuple[MatrixDiff, ...]:
     labels = tuple(p.label for p in matrix.parameters)
     if reference.objects != matrix.objects or reference.parameter_labels != labels:
-        raise ReferenceMismatch(
-            f"reference covers {list(reference.objects)} x {list(reference.parameter_labels)}, "
-            f"computed matrix covers {list(matrix.objects)} x {list(labels)}"
-        )
+        lists = (reference.objects, reference.parameter_labels, matrix.objects, labels)
+        quoted = [clipped(str(list(ids))) for ids in lists]
+        raise ReferenceMismatch("reference covers {} x {}, computed matrix covers {} x {}".format(*quoted))
     diffs = []
     for object_id, row, expected in zip(matrix.objects, matrix.entries, reference.entries):
         if row != expected:
@@ -278,16 +271,14 @@ def _diff_against(matrix: ComparisonMatrix, reference: ReferenceMatrix) -> tuple
     return tuple(diffs)
 
 
-@dataclass(frozen=True)
-class SelectionReport:
-    """Everything the decision produced, ready for rendering or serialization."""
+class SelectionReport(Record):
+    """Everything the decision produced, ready for rendering or serialization:
+    the DecisionTable, the ComparisonMatrix, the ScoreVector, the best
+    object, whether its score is tied, and, when a reference matrix was
+    given, the MatrixDiffs against it (else None)."""
 
-    table: DecisionTable
-    matrix: ComparisonMatrix
-    scores: ScoreVector
-    best: str
-    tied: bool
-    reference_diff: tuple[MatrixDiff, ...] | None = None
+    __slots__ = ("table", "matrix", "scores", "best", "tied", "reference_diff")
+    _defaults = {"reference_diff": None}
 
     def to_dict(self) -> dict:
         return {

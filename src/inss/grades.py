@@ -16,10 +16,18 @@ escape hatch is :meth:`GradeTriple.unchecked`).  The first three bounds fail
 exactly when two components exceed one half, and they already cap the sum at
 2.
 
+``Grade``, ``GradeTriple`` and the decision module's records are frozen
+:class:`Record` classes with ``__slots__``, not dataclasses: no instance
+``__dict__``, so a triple takes 56 bytes.  They compare, hash, print, copy
+and pickle by their fields, but ``dataclasses.fields``, ``asdict``,
+``replace`` and ``is_dataclass`` do not apply to them.
+
 The soft-set core does not hold these objects: it keeps each soft set's
 grades as three ``array("H")`` columns of tick counts and checks them in
 bulk with :func:`first_violation`.  :func:`triples_from_ticks` builds the public
-objects from one row of ticks when a caller first asks for that row's value set.
+objects from one row of ticks when a caller first asks for that row's value
+set, filling each triple's slots through their descriptors with one shared
+``Grade`` per tick count.
 
 Column kernels run on packed lanes: :func:`pack` reads a column as one int
 holding one tick per 16-bit lane, in the machine's byte order, and
@@ -43,8 +51,8 @@ import functools
 import itertools
 import sys
 from array import array
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from operator import attrgetter
 from types import MappingProxyType
 
 from .errors import ConstraintViolation, OutOfRange, ParseError, PrecisionLoss, clipped
@@ -76,17 +84,84 @@ _TICKS_BY_TEXT = {text: ticks for ticks, text in enumerate(GRADE_TEXTS)}
 TICKS_BY_TEXT = MappingProxyType(_TICKS_BY_TEXT)
 
 
-@dataclass(frozen=True, order=True)
-class Grade:
+class Record:
+    """A frozen record of the fields named in its class's ``__slots__``.
+
+    Built by position or keyword (``_defaults`` gives the fields that may be
+    left out), then checked by ``_check``; equal, hashed and printed by its
+    fields in order, and equal only to records of its own class; copied and
+    pickled by calling its class on its fields.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = names = cls.__slots__
+        fields = attrgetter(*names)
+        # The field values in order, as a tuple (attrgetter gives a lone field bare).
+        cls._values = (lambda self: (fields(self),)) if len(names) == 1 else (lambda self: fields(self))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} arguments, got {len(args)}")
+        values = list(args)
+        for name in names[len(args) :]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in self._defaults:
+                values.append(self._defaults[name])
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() got unexpected arguments {sorted(kwargs)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Raise if the fields do not form a valid record."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+@functools.total_ordering
+class Grade(Record):
     """One membership degree, counted in ten-thousandths (0 ..= 10000)."""
 
-    ten_thousandths: int
+    __slots__ = ("ten_thousandths",)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if isinstance(self.ten_thousandths, bool) or not isinstance(self.ten_thousandths, int):
             raise OutOfRange(f"grade count must be an integer, got {clipped(repr(self.ten_thousandths))}")
         if not 0 <= self.ten_thousandths <= GRADE_SCALE:
             raise OutOfRange(f"grade = {Decimal(self.ten_thousandths) / GRADE_SCALE} outside [0, 1]")
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ten_thousandths < other.ten_thousandths
 
     @classmethod
     def parse(cls, value: object, what: str = "grade") -> "Grade":
@@ -223,8 +298,7 @@ def first_violation(truth: array, indeterminacy: array, falsity: array) -> tuple
     return position, _violation(truth[position], indeterminacy[position], falsity[position])
 
 
-@dataclass(frozen=True)
-class GradeTriple:
+class GradeTriple(Record):
     """Truth, indeterminacy and falsity degrees for one element.
 
     Construction checks the joint validity bounds and raises
@@ -232,18 +306,15 @@ class GradeTriple:
     built through the constructor is valid.
     """
 
-    truth: Grade
-    indeterminacy: Grade
-    falsity: Grade
+    __slots__ = COMPONENTS
 
-    def __post_init__(self) -> None:
-        problem = _violation(
-            self.truth.ten_thousandths,
-            self.indeterminacy.ten_thousandths,
-            self.falsity.ten_thousandths,
-        )
+    def __init__(self, truth: Grade, indeterminacy: Grade, falsity: Grade) -> None:
+        problem = _violation(truth.ten_thousandths, indeterminacy.ten_thousandths, falsity.ten_thousandths)
         if problem is not None:
             raise ConstraintViolation(problem)
+        _set_truth(self, truth)
+        _set_indeterminacy(self, indeterminacy)
+        _set_falsity(self, falsity)
 
     @classmethod
     def unchecked(cls, truth: Grade, indeterminacy: Grade, falsity: Grade) -> "GradeTriple":
@@ -257,16 +328,23 @@ class GradeTriple:
             if not isinstance(grade, Grade):
                 raise TypeError(f"expected Grade, got {grade!r}")
         self = object.__new__(cls)
-        object.__setattr__(self, "truth", truth)
-        object.__setattr__(self, "indeterminacy", indeterminacy)
-        object.__setattr__(self, "falsity", falsity)
+        _set_truth(self, truth)
+        _set_indeterminacy(self, indeterminacy)
+        _set_falsity(self, falsity)
         return self
+
+    def __reduce__(self) -> tuple:
+        return type(self).unchecked, self._values()
 
     def components(self) -> tuple[Grade, Grade, Grade]:
         return (self.truth, self.indeterminacy, self.falsity)
 
     def __str__(self) -> str:
         return f"({self.truth}, {self.indeterminacy}, {self.falsity})"
+
+
+# The slots' own setters, which skip the refusing __setattr__ (and the name lookup of object.__setattr__).
+_set_truth, _set_indeterminacy, _set_falsity = (vars(GradeTriple)[name].__set__ for name in COMPONENTS)
 
 
 ZERO_TRIPLE = GradeTriple(Grade(0), Grade(0), Grade(0))
@@ -295,12 +373,12 @@ def triples_from_ticks(elements, truth, indeterminacy, falsity) -> dict[str, Gra
     """
     new = object.__new__
     grade = shared_grade
+    set_truth, set_indeterminacy, set_falsity = _set_truth, _set_indeterminacy, _set_falsity
     triples = {}
     for element, t, i, f in zip(elements, truth, indeterminacy, falsity):
         triple = new(GradeTriple)
-        fields = triple.__dict__
-        fields["truth"] = grade(t)
-        fields["indeterminacy"] = grade(i)
-        fields["falsity"] = grade(f)
+        set_truth(triple, grade(t))
+        set_indeterminacy(triple, grade(i))
+        set_falsity(triple, grade(f))
         triples[element] = triple
     return triples

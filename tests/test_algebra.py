@@ -33,6 +33,7 @@ from inss import (
     soft_set_to_document,
     union,
 )
+from inss.errors import clipped
 
 T = GradeTriple
 G = Grade
@@ -300,6 +301,29 @@ class TestConstruction:
         with pytest.raises(ValueError) as caught:
             SoftSet(("o1",), [p], {p: {}})
         assert str(caught.value) == "parameter 'p': value set missing elements ['o1']"
+
+    def test_constructor_errors_clip_long_lists(self):
+        # Lists and labels past QUOTE_LIMIT characters are quoted up to it.
+        ids, long = tuple(f"e{k:03d}" for k in range(1000)), "p" * 1000
+        p, q = Parameter(long), Parameter("q")
+        missing = clipped(str(list(ids)))
+        with pytest.raises(ValueError) as caught:
+            SoftSet(ids, [p], {p: {}})
+        assert str(caught.value) == f"parameter '{clipped(long)}': value set missing elements {missing}"
+        with pytest.raises(ValueError) as caught:
+            InsSet(("o1",), {"o1": triple(0, 0, 0), **dict.fromkeys(ids, triple(0, 0, 0))})
+        assert str(caught.value) == f"value set unknown elements {missing}"
+        with pytest.raises(ValueError) as caught:
+            SoftSet(ids, [q], {Parameter(name): {} for name in ids})
+        assert str(caught.value) == (
+            f"family mismatch: missing value sets for ['q'], value sets for undeclared parameters {missing}"
+        )
+        with pytest.raises(ValueError) as caught:
+            SoftSet(ids, [Parameter(name) for name in ids], {})
+        assert str(caught.value) == f"family mismatch: missing value sets for {missing}"
+        with pytest.raises(TypeError) as caught:
+            InsSet((long,), {long: (0, 0, 0)})
+        assert str(caught.value) == f"value for {clipped(repr(long))} is not a GradeTriple"
 
 
 class TestValueSets:

@@ -62,6 +62,11 @@ def doc_with(universe, parameters, grades):
 BRIGHT = {"name": "bright", "negated": False}
 
 
+# A one-cell document over one long element id, and the ids and labels of fixtures/shopping.json.
+LONG_DOC = json.dumps(doc_with(["LONG"], [BRIGHT], {"bright": {"LONG": ["0", "0", "0"]}}))
+SHOPPING_IDS = "['b1', 'b2', 'b3', 'b4', 'b5']"
+SHOPPING_LABELS = "['Bright', 'Costly', 'Polystyreneing', 'Colorful', 'Cheap']"
+
 ALL_COMMANDS = ("validate", "show", "complement", "union", "intersect", "subset", "equals", "and", "or", "decide")
 ONE_FILE_COMMANDS = {"validate", "show", "complement", "decide"}
 def chained_product_document(depth):
@@ -452,8 +457,26 @@ class TestStrictJson:
             (("decide", "SOURCE", "--params", "LONG"),
              json.dumps(doc_with(["b1"], [BRIGHT], {"bright": {"b1": ["0", "0", "0"]}})), None,
              "UnknownParameter: unknown parameter 'CLIP'"),
+            (("union", "SOURCE", str(fixture("qualities_a.json"))), LONG_DOC, ["LONG"],
+             f"UniverseMismatch: universes differ: QUOTE vs {SHOPPING_IDS}"),
+            (("or", str(fixture("qualities_a.json")), "SOURCE"), LONG_DOC, ["LONG"],
+             f"UniverseMismatch: universes differ: {SHOPPING_IDS} vs QUOTE"),
+            (("decide", "SOURCE", "--reference-matrix", str(fixture("shopping_matrix_printed.json"))), LONG_DOC,
+             ["LONG"], f"ReferenceMismatch: reference covers {SHOPPING_IDS} x {SHOPPING_LABELS}, "
+             "computed matrix covers QUOTE x ['bright']"),
+            (("decide", str(fixture("shopping.json")), "--reference-matrix", "SOURCE"),
+             json.dumps({"format_version": 1, "objects": ["LONG"], "parameters": ["Bright"], "entries": [[0]]}),
+             ["LONG"], f"ReferenceMismatch: reference covers QUOTE x ['Bright'], "
+             f"computed matrix covers {SHOPPING_IDS} x {SHOPPING_LABELS}"),
+            (("decide", str(fixture("shopping.json")), "--reference-matrix", "SOURCE"),
+             json.dumps({"format_version": 1, "objects": ["b1"], "parameters": ["LONG"], "entries": [[0]]}),
+             ["LONG"], f"ReferenceMismatch: reference covers ['b1'] x QUOTE, "
+             f"computed matrix covers {SHOPPING_IDS} x {SHOPPING_LABELS}"),
         ],
-        ids=["non-string id", "lone surrogate id", "duplicate key", "unexpected key", "spec keys", "params label"],
+        ids=[
+            "non-string id", "lone surrogate id", "duplicate key", "unexpected key", "spec keys", "params label",
+            "left universe", "right universe", "computed objects", "reference objects", "reference labels",
+        ],
     )
     def test_a_huge_outside_value_is_clipped_in_messages(self, tmp_path, argv, text, value, message):
         # QUOTE stands for the clipped repr of value, CLIP for the clipped value.

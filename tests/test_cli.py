@@ -368,6 +368,11 @@ class TestImports:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        code = "import sys, inss.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
 
 class TestModuleEntryPoint:
     def test_python_dash_mInvocation(self):
