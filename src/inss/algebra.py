@@ -303,8 +303,14 @@ class SoftSet:
     indeterminacy, falsity), each holding one row of universe-many ticks per
     parameter, rows in parameter order.  ``_rows`` gives each label's row,
     ``_valid`` says whether every cell is known to meet the joint bounds,
-    and ``_views`` keeps the value sets handed out so far.  Only this module
-    knows the layout: other modules read the rows through :func:`tick_rows`.
+    and ``_views`` keeps the value sets handed out so far, by row.  Besides
+    this module, only ``documents.load_soft_set`` lays rows out; other
+    modules read them through :func:`tick_rows`.
+
+    :meth:`_row` is the one lookup from a parameter to its row, for every
+    method and operation that takes parameters; anything but a parameter
+    raises TypeError there.  Labels reach a parameter through
+    :meth:`find_parameter` (or ``decision.select_best``, which calls it).
     """
 
     __slots__ = ("_universe", "_parameters", "_rows", "_ticks", "_valid", "_views")
@@ -359,10 +365,19 @@ class SoftSet:
 
     def _row(self, param: ParamLike) -> int | None:
         """The row holding ``param``'s value set, or None when the set lacks it."""
-        row = self._rows.get(getattr(param, "label", None))
+        if not isinstance(param, _Param):
+            raise TypeError(f"not a parameter: {clipped(repr(param))}")
+        row = self._rows.get(param.label)
         if row is None or self._parameters[row] is param or self._parameters[row] == param:
             return row
         return None
+
+    def _known_row(self, param: ParamLike) -> int:
+        """The row holding ``param``'s value set; UnknownParameter when the set lacks it."""
+        row = self._row(param)
+        if row is None:
+            raise UnknownParameter(f"unknown parameter '{clipped(param.label)}'")
+        return row
 
     @property
     def universe(self) -> tuple[str, ...]:
@@ -381,14 +396,12 @@ class SoftSet:
 
     def value_set(self, param: ParamLike) -> InsSet:
         """``param``'s value set, its triples built from its row when first asked for."""
-        view = self._views.get(param)
+        row = self._known_row(param)
+        view = self._views.get(row)
         if view is None:
-            row = self._row(param)
-            if row is None:
-                raise UnknownParameter(f"unknown parameter '{clipped(param.label)}'")
             start, size = row * len(self._universe), len(self._universe)
             cells = triples_from_ticks(self._universe, *(column[start : start + size] for column in self._ticks))
-            view = self._views[param] = InsSet._of(self._universe, cells)
+            view = self._views[row] = InsSet._of(self._universe, cells)
         return view
 
     def triple(self, param: ParamLike, element: str) -> GradeTriple:
@@ -404,13 +417,7 @@ class SoftSet:
     def restrict(self, parameters: Sequence[ParamLike]) -> "SoftSet":
         """The same universe, narrowed to the given parameters in the given order."""
         parameters = tuple(parameters)
-        rows = []
-        for param in parameters:
-            row = self._row(param)
-            if row is None:
-                raise UnknownParameter(f"unknown parameter '{clipped(param.label)}'")
-            rows.append(row)
-        ticks = _stacked(len(self._universe), [(self._ticks, row) for row in rows])
+        ticks = _stacked(len(self._universe), [(self._ticks, self._known_row(param)) for param in parameters])
         return SoftSet._of(self._universe, parameters, label_index(parameters), ticks, self._valid)
 
     def __eq__(self, other: object) -> bool:
@@ -541,7 +548,7 @@ def union(left: SoftSet, right: SoftSet) -> SoftSet:
     joined = _combine(left, right, pairs, _join)
     ranks = {a: rank for rank, (a, _) in enumerate(pairs)}
     pieces = [(joined, ranks[a]) if a in ranks else (left._ticks, a) for a in range(len(left.parameters))]
-    extra = [b for b, param in enumerate(right.parameters) if not left.has_parameter(param)]
+    extra = sorted(set(range(len(right.parameters))).difference(b for _, b in pairs))
     pieces += [(right._ticks, b) for b in extra]
     parameters = left.parameters + tuple(right.parameters[b] for b in extra)
     ticks = _stacked(len(left.universe), pieces)

@@ -105,15 +105,12 @@ def _decision_report(report: SelectionReport, audit: bool) -> str:
         columns.append([param.label, *cells])
     sections += ["Comparison matrix", format_grid(columns), ""]
 
-    width = max(len(o) for o in matrix.objects)
-    sections.append("Scores")
-    for object_id, score in zip(report.scores.objects, report.scores.scores):
-        sections.append(f"{object_id.ljust(width)}  {score}")
-    sections.append("")
+    vector = report.scores
+    sections += ["Scores", format_grid([list(vector.objects), list(map(str, vector.scores))]), ""]
 
-    by_object = dict(zip(report.scores.objects, report.scores.scores))
+    by_object = dict(zip(vector.objects, vector.scores))
     sections.append("Ranking")
-    for position, object_id in enumerate(report.scores.ranking, start=1):
+    for position, object_id in enumerate(vector.ranking, start=1):
         sections.append(f"{position}. {object_id} ({by_object[object_id]})")
     sections.append("")
 

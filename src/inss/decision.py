@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .algebra import CompoundParameter, ParamLike, Parameter, SoftSet, tick_rows
+from .algebra import ParamLike, SoftSet, tick_rows
 from .errors import EmptyParameterSet, EmptyUniverse, ReferenceMismatch, clipped
 from .grades import GradeTriple, Record
 
@@ -39,25 +39,19 @@ __all__ = [
 ]
 
 
-def _resolve_choice(soft_set: SoftSet, choice: Sequence[ParamLike | str]) -> tuple[ParamLike, ...]:
-    """The chosen parameters, with labels looked up; membership is for ``restrict``."""
-    resolved = []
-    for entry in choice:
-        if isinstance(entry, str):
-            entry = soft_set.find_parameter(entry)
-        elif not isinstance(entry, (Parameter, CompoundParameter)):
-            raise TypeError(f"not a parameter or label: {entry!r}")
-        resolved.append(entry)
-    return tuple(resolved)
-
-
 class DecisionTable:
-    """A soft set narrowed to the chosen parameters, laid out objects-by-parameters."""
+    """A soft set narrowed to the chosen parameters, laid out objects-by-parameters.
+
+    A label in the choice is looked up with ``SoftSet.find_parameter``; every
+    other entry goes to ``SoftSet.restrict``, whose one parameter-to-row
+    lookup raises TypeError for anything but a parameter.
+    """
 
     __slots__ = ("_soft_set", "_objects", "_parameters", "_rows")
 
     def __init__(self, soft_set: SoftSet, choice: Sequence[ParamLike | str] | None = None):
-        entries = soft_set.parameters if choice is None else _resolve_choice(soft_set, choice)
+        find = soft_set.find_parameter
+        entries = soft_set.parameters if choice is None else [find(e) if isinstance(e, str) else e for e in choice]
         if not entries:
             raise EmptyParameterSet("a decision needs at least one parameter")
         if not soft_set.universe:
@@ -175,7 +169,7 @@ class ComparisonMatrix:
         try:
             index = self._objects.index(object_id)
         except ValueError:
-            raise ValueError(f"unknown object '{object_id}'") from None
+            raise ValueError(f"unknown object '{clipped(str(object_id))}'") from None
         return self._entries[index]
 
     @property

@@ -290,6 +290,17 @@ class TestConstruction:
         with pytest.raises(UnknownParameter):
             s.restrict([Parameter("other")])
 
+    def test_family_reads_every_value_set_in_order(self):
+        s = tiny(names=("q", "p"))
+        family = s.family
+        assert list(family) == list(s.parameters) == [Parameter("q"), Parameter("p")]
+        assert all(family[p] is s.value_set(p) for p in s.parameters)
+        with pytest.raises(TypeError):
+            family[Parameter("r")] = family[Parameter("p")]
+
+    def test_repr_gives_the_sizes(self):
+        assert repr(tiny(universe=("x", "y", "z"))) == "SoftSet(3 elements, 2 parameters)"
+
     def test_constructor_errors_name_the_culprit(self):
         p = Parameter("p")
         with pytest.raises(TypeError) as caught:
@@ -362,6 +373,46 @@ class TestValueSets:
         rebuilt = SoftSet(s.universe, s.parameters, {p: s.value_set(p) for p in s.parameters})
         assert rebuilt == s
         assert all(rebuilt.value_set(p) == s.value_set(p) for p in s.parameters)
+
+
+class TestParameterLookup:
+    """Every method that takes a parameter finds its row through one lookup."""
+
+    @pytest.mark.parametrize("bad, text", [("p", "'p'"), (7, "7"), (None, "None")])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, bad: s.value_set(bad),
+            lambda s, bad: s.triple(bad, "x"),
+            lambda s, bad: s.restrict([s.parameters[0], bad]),
+            lambda s, bad: s.has_parameter(bad),
+        ],
+        ids=["value_set", "triple", "restrict", "has_parameter"],
+    )
+    def test_anything_but_a_parameter_is_refused(self, call, bad, text):
+        with pytest.raises(TypeError) as caught:
+            call(tiny(), bad)
+        assert str(caught.value) == f"not a parameter: {text}"
+
+    def test_a_huge_non_parameter_is_clipped(self):
+        with pytest.raises(TypeError) as caught:
+            tiny().has_parameter("p" * 500)
+        assert str(caught.value) == f"not a parameter: {clipped(repr('p' * 500))}"
+
+    def test_equal_parameters_built_apart_share_one_value_set(self):
+        a, b = Parameter("a"), Parameter("b")
+        s = and_op(tiny(names=("a",)), tiny(names=("b",)))
+        pair, twin = CompoundParameter(a, b), CompoundParameter(Parameter("a"), Parameter("b"))
+        assert pair is not twin and pair == twin
+        assert s.value_set(pair) is s.value_set(twin) is s.value_set(s.parameters[0])
+        assert s.has_parameter(twin) and s.triple(twin, "x") is s.value_set(pair)["x"]
+
+    def test_union_of_sets_built_apart_keeps_both_orders(self):
+        left, right = tiny(names=("p", "q", "r")), tiny(names=("s", "q", "t", "p"), fill=(5000, 0, 0))
+        joined = union(left, right)
+        assert [p.label for p in joined.parameters] == ["p", "q", "r", "s", "t"]
+        assert joined.triple(Parameter("q"), "y") == triple(5000, 0, 0)
+        assert joined.triple(Parameter("r"), "y") == triple(3000, 2000, 4000)
 
 
 class TestLabelCollisions:

@@ -115,6 +115,11 @@ class TestShow:
         assert out.splitlines()[0] == "U   Costly           Colorful"
         assert out.splitlines()[1] == "b1  (0.6, 0.2, 0.3)  (0.4, 0.6, 0.2)"
 
+    def test_ci_fixture_holds_the_shopping_table(self, capsys):
+        code, out, _ = run(capsys, "show", fixture("shopping.json"))
+        assert code == 0
+        assert out == fixture("shopping_show.txt").read_text(encoding="utf-8")
+
 
 class TestSetOperations:
     def test_union_stdout_matches_golden_fixture(self, capsys):
@@ -227,6 +232,35 @@ class TestDecide:
         assert "Audit" not in out
         assert "Selected: b4" in out
         assert "1. b4 (19)" in out
+
+    def test_ci_fixture_holds_the_plain_report(self, capsys):
+        code, out, _ = run(capsys, "decide", fixture("shopping.json"))
+        assert code == 0
+        assert out == fixture("shopping_decide_plain.txt").read_text(encoding="utf-8")
+
+    def test_matching_reference_is_reported(self, capsys, tmp_path):
+        reference = json.loads(fixture("shopping_matrix_printed.json").read_text(encoding="utf-8"))
+        reference["entries"][0][3] = 4  # (b1, Colorful), a typo in the printed matrix
+        reference["entries"][4][0] = 1  # (b5, Bright), the other one
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(reference), encoding="utf-8")
+        code, out, err = run(capsys, "decide", fixture("shopping.json"), "--reference-matrix", path)
+        assert (code, err) == (0, "")
+        assert "Reference comparison\ncomputed matrix matches the reference\n\nSelected: b4\n" in out
+
+    def test_score_lines_pad_ids_to_the_longest(self, capsys, tmp_path):
+        doc = {
+            "format_version": 1,
+            "universe": ["a", "long id", "mid"],
+            "parameters": [{"name": "p", "negated": False}],
+            "grades": {"p": {"a": ["0.1", "0", "0"], "long id": ["0.3", "0", "0"], "mid": ["0.2", "0", "0"]}},
+        }
+        path = tmp_path / "ids.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(capsys, "decide", path)
+        assert code == 0
+        scores = out[out.index("Scores\n") : out.index("\n\nRanking")]
+        assert scores == "Scores\na        0\nlong id  2\nmid      1"
 
     def test_params_selection(self, capsys):
         code, out, _ = run(

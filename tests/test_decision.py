@@ -23,6 +23,7 @@ from inss import (
     scores,
     select_best,
 )
+from inss.errors import QUOTE_LIMIT, clipped
 from inss.oracle import oracle_matrix
 
 EXPECTED_MATRIX = {
@@ -103,6 +104,16 @@ class TestWorkedExample:
         with pytest.raises(ValueError, match="unknown object"):
             shopping_matrix.row("b9")
 
+    def test_a_huge_unknown_object_is_clipped(self, shopping_matrix):
+        with pytest.raises(ValueError) as caught:
+            shopping_matrix.row("z" * 500)
+        assert str(caught.value) == f"unknown object '{clipped('z' * 500)}'"
+        assert len(str(caught.value)) == len("unknown object ''...") + QUOTE_LIMIT
+
+    def test_a_matrix_is_not_equal_to_an_int(self, shopping_matrix):
+        assert (shopping_matrix == 5) is False
+        assert shopping_matrix != 5
+
     def test_report_serializes(self, shopping):
         report = select_best(shopping)
         data = report.to_dict()
@@ -174,6 +185,16 @@ class TestChoice:
     def test_bad_choice_type(self, shopping):
         with pytest.raises(TypeError):
             DecisionTable(shopping, [42])
+
+    @pytest.mark.parametrize("entry, text", [(42, "42"), (None, "None"), (b"Bright", "b'Bright'")])
+    def test_a_choice_entry_that_is_no_parameter_is_named(self, shopping, entry, text):
+        with pytest.raises(TypeError) as caught:
+            select_best(shopping, ["Bright", entry])
+        assert str(caught.value) == f"not a parameter: {text}"
+
+    def test_labels_and_parameters_mix_in_one_choice(self, shopping):
+        table = DecisionTable(shopping, ["Cheap", Parameter("Bright")])
+        assert table.parameters == (Parameter("Cheap"), Parameter("Bright"))
 
     def test_empty_choice(self, shopping):
         with pytest.raises(EmptyParameterSet):

@@ -188,6 +188,14 @@ class TestParsingErrors:
         with pytest.raises(ParseError, match=hint):
             load_soft_set(write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize("parameters", [{"name": "bright", "negated": False}, "bright", None])
+    def test_parameters_must_be_a_list(self, tmp_path, parameters):
+        doc = minimal_doc()
+        doc["parameters"] = parameters
+        with pytest.raises(ParseError) as caught:
+            load_soft_set(write_doc(tmp_path, doc))
+        assert str(caught.value) == "parameters: must be a list"
+
     def test_duplicate_parameters_rejected(self, tmp_path):
         doc = minimal_doc()
         doc["parameters"] = [
