@@ -29,12 +29,15 @@ cell in row order.  The matrix is the only store of ticks: a value set
 from one row the first time a caller asks for that value set, then keeps.
 
 Parameters are small immutable objects compared by structure.  Each
-computes its label and hash once, at construction, from its children's, so
-a product's new compound parameters cost the same at any nesting depth.
+computes its label and hash once, at construction, from its children's.  A
+product keeps its two factor tuples and indexes its rows by labels made
+from theirs, and builds a row's compound parameter only when something
+reads that row; its complement negates the factors and builds none.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -149,6 +152,13 @@ class Parameter(_Param):
     """
 
     __slots__ = ("name", "negated", "label", "_hash")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.name == other.name and self.negated is other.negated)
+
+    __hash__ = _Param.__hash__
 
     def __init__(self, name: str, negated: bool = False) -> None:
         if not isinstance(name, str) or not name:
@@ -307,13 +317,22 @@ class SoftSet:
     this module, only ``documents.load_soft_set`` lays rows out; other
     modules read them through :func:`tick_rows`.
 
+    A product keeps its two factor tuples in ``_factors``, and its
+    ``_parameters`` start as a list of None: :meth:`_param` builds row
+    ``a * len(rights) + b``'s ``CompoundParameter(lefts[a], rights[b])`` when
+    something first reads it, then keeps it, so each row hands out one
+    object (two threads reading a new row at once may each build an equal
+    one, as with ``_views``); :attr:`parameters` builds the rest in one pass
+    and keeps them as a tuple.  Every other soft set has ``_factors`` None
+    and a tuple of parameters.
+
     :meth:`_row` is the one lookup from a parameter to its row, for every
     method and operation that takes parameters; anything but a parameter
     raises TypeError there.  Labels reach a parameter through
     :meth:`find_parameter` (or ``decision.select_best``, which calls it).
     """
 
-    __slots__ = ("_universe", "_parameters", "_rows", "_ticks", "_valid", "_views")
+    __slots__ = ("_universe", "_parameters", "_rows", "_ticks", "_valid", "_views", "_factors")
 
     def __init__(
         self,
@@ -346,31 +365,45 @@ class SoftSet:
         self._set(universe, parameters, rows, ticks, first_violation(*ticks) is None)
 
     @classmethod
-    def _of(cls, universe: tuple, parameters: tuple, rows: dict[str, int], ticks: Columns, valid: bool) -> "SoftSet":
+    def _of(
+        cls, universe: tuple, parameters, rows: dict[str, int], ticks: Columns, valid: bool, factors=None
+    ) -> "SoftSet":
         """A soft set over a checked ``universe`` holding the tick matrix
         ``ticks``, which it keeps without copying; ``rows`` is
         ``label_index(parameters)`` and ``valid`` says whether every cell is
-        known to meet the joint bounds."""
+        known to meet the joint bounds.  A product passes its factor tuples
+        as ``factors`` and a list of None as ``parameters``."""
         self = cls.__new__(cls)
-        self._set(universe, parameters, rows, ticks, valid)
+        self._set(universe, parameters, rows, ticks, valid, factors)
         return self
 
-    def _set(self, universe, parameters, rows, ticks, valid) -> None:
+    def _set(self, universe, parameters, rows, ticks, valid, factors=None) -> None:
         self._universe = universe
         self._parameters = parameters
         self._rows = rows
         self._ticks = ticks
         self._valid = valid
         self._views = {}
+        self._factors = factors
+
+    def _param(self, row: int) -> ParamLike:
+        """The parameter of ``row``; a product's is built when first read, then kept."""
+        param = self._parameters[row]
+        if param is None:
+            lefts, rights = self._factors
+            left, right = divmod(row, len(rights))
+            param = self._parameters[row] = CompoundParameter(lefts[left], rights[right])
+        return param
 
     def _row(self, param: ParamLike) -> int | None:
         """The row holding ``param``'s value set, or None when the set lacks it."""
         if not isinstance(param, _Param):
             raise TypeError(f"not a parameter: {clipped(repr(param))}")
         row = self._rows.get(param.label)
-        if row is None or self._parameters[row] is param or self._parameters[row] == param:
-            return row
-        return None
+        if row is None:
+            return None
+        known = self._param(row)
+        return row if known is param or known == param else None
 
     def _known_row(self, param: ParamLike) -> int:
         """The row holding ``param``'s value set; UnknownParameter when the set lacks it."""
@@ -385,11 +418,14 @@ class SoftSet:
 
     @property
     def parameters(self) -> tuple[ParamLike, ...]:
+        if self._parameters.__class__ is list:
+            rows = zip(self._parameters, itertools.product(*self._factors))
+            self._parameters = tuple([CompoundParameter(*pair) if built is None else built for built, pair in rows])
         return self._parameters
 
     @property
     def family(self) -> Mapping[ParamLike, InsSet]:
-        return MappingProxyType({param: self.value_set(param) for param in self._parameters})
+        return MappingProxyType({param: self.value_set(param) for param in self.parameters})
 
     def has_parameter(self, param: ParamLike) -> bool:
         return self._row(param) is not None
@@ -410,7 +446,7 @@ class SoftSet:
     def find_parameter(self, label: str) -> ParamLike:
         """Look a parameter up by its display label."""
         try:
-            return self._parameters[self._rows[label]]
+            return self._param(self._rows[label])
         except (KeyError, TypeError):
             raise UnknownParameter(f"unknown parameter '{clipped(str(label))}'") from None
 
@@ -425,7 +461,7 @@ class SoftSet:
             return NotImplemented
         return (
             self._universe == other._universe
-            and self._parameters == other._parameters
+            and self.parameters == other.parameters
             and self._ticks == other._ticks
         )
 
@@ -438,7 +474,7 @@ def tick_rows(soft_set: SoftSet) -> Iterator[tuple[list[int], list[int], list[in
     order, each a list in universe order (a list yields its items without
     making new ints, where an array boxes each one)."""
     size = len(soft_set.universe)
-    for row in range(len(soft_set.parameters)):
+    for row in range(len(soft_set._parameters)):
         start = row * size
         yield tuple(column[start : start + size].tolist() for column in soft_set._ticks)
 
@@ -495,7 +531,7 @@ def _combined(ours: tuple, theirs: tuple, count: int, rule) -> Columns:
 
 def _paired_rows(left: SoftSet, right: SoftSet) -> list[tuple[int, int]]:
     """The rows of each parameter the two sets share, in left's order."""
-    return [(a, b) for a, param in enumerate(left._parameters) if (b := right._row(param)) is not None]
+    return [(a, b) for a, param in enumerate(left.parameters) if (b := right._row(param)) is not None]
 
 
 def _combine(left: SoftSet, right: SoftSet, pairs: list[tuple[int, int]], rule) -> Columns:
@@ -529,6 +565,8 @@ def complement(soft_set: SoftSet) -> SoftSet:
     """Negate every parameter and swap truth with falsity in every triple."""
     truth, indeterminacy, falsity = soft_set._ticks
     ticks = _checked((falsity, indeterminacy, truth), soft_set._valid)
+    if soft_set._factors is not None:  # negation distributes over each pair
+        return _pairs(soft_set.universe, *map(not_parameters, soft_set._factors), ticks)
     parameters = not_parameters(soft_set.parameters)
     return SoftSet._of(soft_set.universe, parameters, label_index(parameters), ticks, True)
 
@@ -583,8 +621,22 @@ def _product(left: SoftSet, right: SoftSet, rule) -> SoftSet:
     )
     right_lanes = tuple(pack(column.tobytes() * left_count) for column in right._ticks)
     ticks = _checked(_combined(left_lanes, right_lanes, size * left_count * count, rule), left._valid and right._valid)
-    pairs = tuple([CompoundParameter(a, b) for a in left.parameters for b in right.parameters])
-    return SoftSet._of(left.universe, pairs, label_index(pairs), ticks, True)
+    return _pairs(left.universe, left.parameters, right.parameters, ticks)
+
+
+def _pairs(universe: tuple, lefts: tuple, rights: tuple, ticks: Columns) -> SoftSet:
+    """The valid soft set whose row ``a * len(rights) + b`` holds pair
+    (``lefts[a]``, ``rights[b]``), indexed by labels made from the factors'.
+
+    Its compounds are built when read, unless two pairs share a label:
+    then all of them are built, and label_index words the refusal.
+    """
+    count = len(lefts) * len(rights)
+    right_labels = [b.label for b in rights]
+    rows = dict(zip([f"({a.label}, {b})" for a in lefts for b in right_labels], range(count)))
+    if len(rows) < count:
+        label_index([CompoundParameter(a, b) for a in lefts for b in rights])
+    return SoftSet._of(universe, [None] * count, rows, ticks, True, (lefts, rights))
 
 
 def and_op(left: SoftSet, right: SoftSet) -> SoftSet:
