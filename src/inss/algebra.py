@@ -24,9 +24,10 @@ it stands.  Matrices are never changed once built, so soft sets share them
 freely.  A soft set also records whether its cells are known to be valid: a
 result computed from valid sets is valid without a check, and any other
 result is checked in bulk, raising ConstraintViolation for its first bad
-cell in row order.  The matrix is the only store of ticks: a value set
-(``InsSet``) is a plain mapping of its GradeTriples, which a soft set builds
-from one row the first time a caller asks for that value set, then keeps.
+cell in row order.  The matrix is the only store of grades: a soft set
+holds no GradeTriple.  Its value sets (``InsSet``) are views of its rows,
+each building an element's triple when that element is first read and
+keeping it for as long as the caller keeps the view.
 
 Parameters are small immutable objects compared by structure.  Each
 computes its label and hash once, at construction, from its children's.  A
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from types import MappingProxyType
@@ -54,13 +56,13 @@ from .errors import (
 )
 from .grades import (
     GradeTriple,
+    RowTriples,
     at_least,
     first_violation,
     guards,
     larger,
     pack,
     smaller,
-    triples_from_ticks,
     unpack,
 )
 
@@ -225,12 +227,16 @@ def gaps(expected: dict, given: Mapping) -> tuple[list, list]:
 class InsSet(Mapping):
     """A total assignment of grade triples over an ordered universe.
 
-    It keeps one dict of its GradeTriples, keyed in universe order, never
-    changed once built.  A soft set hands out its value sets as read-only
-    InsSets built from its rows (see :meth:`SoftSet.value_set`).
+    Built from a mapping, it keeps one dict of the given GradeTriples, keyed
+    in universe order.  A soft set's value set (see :meth:`SoftSet.value_set`)
+    is instead a view of one row of the soft set's tick matrix: its dict is a
+    :class:`~inss.grades.RowTriples`, which builds an element's triple when
+    that element is first read and keeps it, so each read after the first
+    returns the same object.  Either way the assignment never changes, and
+    copies and pickles hold the triples, not the matrix.
     """
 
-    __slots__ = ("_universe", "_cells")
+    __slots__ = ("_universe", "_cells", "__weakref__")
 
     def __init__(self, universe: Sequence[str], triples: Mapping[str, GradeTriple]):
         universe = tuple(universe)
@@ -249,9 +255,9 @@ class InsSet(Mapping):
         self._universe, self._cells = universe, cells
 
     @classmethod
-    def _of(cls, universe: tuple[str, ...], cells: dict[str, GradeTriple]) -> "InsSet":
-        """The value set over ``universe`` holding ``cells``, triples keyed in
-        universe order, which it keeps without copying or checking."""
+    def _of(cls, universe: tuple[str, ...], cells: RowTriples) -> "InsSet":
+        """The value set over ``universe`` that looks its triples up in
+        ``cells``, which it keeps without copying or checking."""
         self = cls.__new__(cls)
         self._universe, self._cells = universe, cells
         return self
@@ -270,7 +276,10 @@ class InsSet(Mapping):
         return len(self._universe)
 
     def __repr__(self) -> str:
-        return f"InsSet({self._cells!r})"
+        return f"InsSet({dict(self)!r})"
+
+    def __reduce__(self) -> tuple:
+        return InsSet, (self._universe, dict(self))
 
 
 def checked_universe(elements: Iterable) -> tuple[str, ...]:
@@ -312,19 +321,27 @@ class SoftSet:
     The grades are one tick matrix: three ``array("H")`` columns (truth,
     indeterminacy, falsity), each holding one row of universe-many ticks per
     parameter, rows in parameter order.  ``_rows`` gives each label's row,
-    ``_valid`` says whether every cell is known to meet the joint bounds,
-    and ``_views`` keeps the value sets handed out so far, by row.  Besides
-    this module, only ``documents.load_soft_set`` lays rows out; other
-    modules read them through :func:`tick_rows`.
+    and ``_valid`` says whether every cell is known to meet the joint bounds.
+    Besides this module, only ``documents.load_soft_set`` lays rows out;
+    other modules read them through :func:`tick_rows`.
+
+    The set holds no GradeTriple.  :meth:`value_set` hands out a view of one
+    row (see :class:`InsSet`), and ``_views`` holds each row's view weakly:
+    while any caller keeps a row's view, that row's value set is that same
+    object, and once every caller has let it go, its triples go with it and
+    the next read makes a new view.  All of a set's views share one element
+    → position dict, ``_positions``, built when the first view is made.
+    Two threads reading a row or a cell for the first time at once may each
+    build an equal object; either one is kept.
 
     A product keeps its two factor tuples in ``_factors``, and its
     ``_parameters`` start as a list of None: :meth:`_param` builds row
     ``a * len(rights) + b``'s ``CompoundParameter(lefts[a], rights[b])`` when
     something first reads it, then keeps it, so each row hands out one
-    object (two threads reading a new row at once may each build an equal
-    one, as with ``_views``); :attr:`parameters` builds the rest in one pass
-    and keeps them as a tuple.  Every other soft set has ``_factors`` None
-    and a tuple of parameters.
+    object (threads racing on it may build equal ones, as above);
+    :attr:`parameters` builds the rest in one pass and keeps them as a
+    tuple.  Every other soft set has ``_factors`` None and a tuple of
+    parameters.
 
     :meth:`_row` is the one lookup from a parameter to its row, for every
     method and operation that takes parameters; anything but a parameter
@@ -332,7 +349,7 @@ class SoftSet:
     :meth:`find_parameter` (or ``decision.select_best``, which calls it).
     """
 
-    __slots__ = ("_universe", "_parameters", "_rows", "_ticks", "_valid", "_views", "_factors")
+    __slots__ = ("_universe", "_parameters", "_rows", "_ticks", "_valid", "_views", "_factors", "_positions")
 
     def __init__(
         self,
@@ -385,6 +402,11 @@ class SoftSet:
         self._valid = valid
         self._views = {}
         self._factors = factors
+        self._positions = None
+
+    def __reduce__(self) -> tuple:
+        # Copied and pickled without the views handed out, which it holds weakly.
+        return SoftSet._of, (self._universe, self._parameters, self._rows, self._ticks, self._valid, self._factors)
 
     def _param(self, row: int) -> ParamLike:
         """The parameter of ``row``; a product's is built when first read, then kept."""
@@ -425,19 +447,25 @@ class SoftSet:
 
     @property
     def family(self) -> Mapping[ParamLike, InsSet]:
-        return MappingProxyType({param: self.value_set(param) for param in self.parameters})
+        return MappingProxyType({param: self._view(row) for row, param in enumerate(self.parameters)})
 
     def has_parameter(self, param: ParamLike) -> bool:
         return self._row(param) is not None
 
     def value_set(self, param: ParamLike) -> InsSet:
-        """``param``'s value set, its triples built from its row when first asked for."""
-        row = self._known_row(param)
-        view = self._views.get(row)
+        """``param``'s value set: a view of its row, each triple built when first read."""
+        return self._view(self._known_row(param))
+
+    def _view(self, row: int) -> InsSet:
+        """The view of ``row`` that a caller still holds, else a new one."""
+        held = self._views.get(row)
+        view = None if held is None else held()
         if view is None:
-            start, size = row * len(self._universe), len(self._universe)
-            cells = triples_from_ticks(self._universe, *(column[start : start + size] for column in self._ticks))
-            view = self._views[row] = InsSet._of(self._universe, cells)
+            if self._positions is None:
+                self._positions = {element: k for k, element in enumerate(self._universe)}
+            cells = RowTriples(self._ticks, row * len(self._universe), self._positions)
+            view = InsSet._of(self._universe, cells)
+            self._views[row] = weakref.ref(view)
         return view
 
     def triple(self, param: ParamLike, element: str) -> GradeTriple:

@@ -24,10 +24,11 @@ and pickle by their fields, but ``dataclasses.fields``, ``asdict``,
 
 The soft-set core does not hold these objects: it keeps each soft set's
 grades as three ``array("H")`` columns of tick counts and checks them in
-bulk with :func:`first_violation`.  :func:`triples_from_ticks` builds the public
-objects from one row of ticks when a caller first asks for that row's value
-set, filling each triple's slots through their descriptors with one shared
-``Grade`` per tick count.
+bulk with :func:`first_violation`.  A value set looks its cells up in a
+:class:`RowTriples`, which builds a public triple from one cell's ticks
+when that cell is first read, filling the triple's slots through their
+descriptors with one shared ``Grade`` per tick count; the triples live only
+as long as the value set that holds them.
 
 Column kernels run on packed lanes: :func:`pack` reads a column as one int
 holding one tick per 16-bit lane, in the machine's byte order, and
@@ -365,20 +366,28 @@ def complement_triple(triple: GradeTriple) -> GradeTriple:
 shared_grade = functools.cache(Grade)
 
 
-def triples_from_ticks(elements, truth, indeterminacy, falsity) -> dict[str, GradeTriple]:
-    """The triples of three aligned tick columns, keyed by element.
+class RowTriples(dict):
+    """The triples of one row of a tick matrix, keyed by element; each is
+    built when first looked up, then kept.
 
-    The counts are already grades and the columns were checked (or loaded
-    unchecked on purpose) as a whole, so the bounds are not checked again.
+    ``ticks`` is the matrix, ``start`` the row's first position in it and
+    ``positions`` each element's place in the row; an element outside it
+    raises KeyError.  The counts are already grades and the matrix was
+    checked (or loaded unchecked on purpose) as a whole, so the bounds are
+    not checked again.
     """
-    new = object.__new__
-    grade = shared_grade
-    set_truth, set_indeterminacy, set_falsity = _set_truth, _set_indeterminacy, _set_falsity
-    triples = {}
-    for element, t, i, f in zip(elements, truth, indeterminacy, falsity):
-        triple = new(GradeTriple)
-        set_truth(triple, grade(t))
-        set_indeterminacy(triple, grade(i))
-        set_falsity(triple, grade(f))
-        triples[element] = triple
-    return triples
+
+    __slots__ = ("_ticks", "_start", "_positions")
+
+    def __init__(self, ticks: tuple, start: int, positions: dict) -> None:
+        self._ticks, self._start, self._positions = ticks, start, positions
+
+    def __missing__(self, element: str) -> GradeTriple:
+        at = self._start + self._positions[element]
+        truth, indeterminacy, falsity = self._ticks
+        triple = object.__new__(GradeTriple)
+        _set_truth(triple, shared_grade(truth[at]))
+        _set_indeterminacy(triple, shared_grade(indeterminacy[at]))
+        _set_falsity(triple, shared_grade(falsity[at]))
+        self[element] = triple
+        return triple

@@ -405,7 +405,7 @@ class TestParameterLookup:
         pair, twin = CompoundParameter(a, b), CompoundParameter(Parameter("a"), Parameter("b"))
         assert pair is not twin and pair == twin
         assert s.value_set(pair) is s.value_set(twin) is s.value_set(s.parameters[0])
-        assert s.has_parameter(twin) and s.triple(twin, "x") is s.value_set(pair)["x"]
+        assert s.has_parameter(twin) and s.triple(twin, "x") == s.value_set(pair)["x"]
 
     def test_union_of_sets_built_apart_keeps_both_orders(self):
         left, right = tiny(names=("p", "q", "r")), tiny(names=("s", "q", "t", "p"), fill=(5000, 0, 0))
