@@ -9,115 +9,17 @@ The package splits into:
 - ``oracle``: a deliberately naive second implementation used to audit the
   fast paths and to check algebraic laws
 - ``cli``: the ``inss`` command
+
+``import inss`` re-exports the ``__all__`` of ``errors`` and of the first four.
 """
 
-from .algebra import (
-    CompoundParameter,
-    InsSet,
-    Parameter,
-    SoftSet,
-    and_op,
-    canonicalize,
-    complement,
-    equals,
-    intersection,
-    is_null,
-    is_subset,
-    not_parameters,
-    or_op,
-    union,
-)
-from .decision import (
-    CellAudit,
-    ComparisonMatrix,
-    DecisionTable,
-    MatrixDiff,
-    ReferenceMatrix,
-    ScoreVector,
-    SelectionReport,
-    comparison_matrix,
-    scores,
-    select_best,
-)
-from .documents import (
-    FORMAT_VERSION,
-    load_reference_matrix,
-    load_soft_set,
-    render_table,
-    save_soft_set,
-    serialize_soft_set,
-    soft_set_to_document,
-)
-from .errors import (
-    ConstraintViolation,
-    DuplicateElement,
-    DuplicateParameter,
-    EmptyParameterIntersection,
-    EmptyParameterSet,
-    EmptyUniverse,
-    InssError,
-    OutOfRange,
-    ParseError,
-    PrecisionLoss,
-    ReferenceMismatch,
-    UniverseMismatch,
-    UnknownLaw,
-    UnknownParameter,
-)
-from .grades import GRADE_SCALE, Grade, GradeTriple, complement_triple, validate_triple
+from . import algebra, decision, documents, errors, grades
+from .algebra import *
+from .decision import *
+from .documents import *
+from .errors import *
+from .grades import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "GRADE_SCALE",
-    "Grade",
-    "GradeTriple",
-    "complement_triple",
-    "validate_triple",
-    "Parameter",
-    "CompoundParameter",
-    "InsSet",
-    "SoftSet",
-    "not_parameters",
-    "union",
-    "intersection",
-    "and_op",
-    "or_op",
-    "complement",
-    "is_subset",
-    "equals",
-    "is_null",
-    "canonicalize",
-    "DecisionTable",
-    "CellAudit",
-    "ComparisonMatrix",
-    "comparison_matrix",
-    "ScoreVector",
-    "scores",
-    "ReferenceMatrix",
-    "MatrixDiff",
-    "SelectionReport",
-    "select_best",
-    "FORMAT_VERSION",
-    "load_soft_set",
-    "save_soft_set",
-    "serialize_soft_set",
-    "soft_set_to_document",
-    "load_reference_matrix",
-    "render_table",
-    "InssError",
-    "OutOfRange",
-    "PrecisionLoss",
-    "ConstraintViolation",
-    "UniverseMismatch",
-    "DuplicateParameter",
-    "DuplicateElement",
-    "EmptyParameterIntersection",
-    "UnknownParameter",
-    "EmptyParameterSet",
-    "EmptyUniverse",
-    "ParseError",
-    "ReferenceMismatch",
-    "UnknownLaw",
-]
+__all__ = ["__version__", *grades.__all__, *algebra.__all__, *decision.__all__, *documents.__all__, *errors.__all__]

@@ -46,6 +46,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from types import MappingProxyType
 
 from .errors import (
+    QUOTE_LIMIT,
     ConstraintViolation,
     DuplicateElement,
     DuplicateParameter,
@@ -310,7 +311,10 @@ def label_index(parameters: Sequence[ParamLike]) -> dict[str, int]:
             known = parameters[rows[label]]
             if known == param:
                 raise DuplicateParameter(f"parameters[{index}]: duplicate parameter '{clipped(label)}'")
-            raise DuplicateParameter(f"parameters[{index}]: {known!r} and {param!r} share label '{label}'")
+            raise DuplicateParameter(  # a compound's repr is long even for short names
+                f"parameters[{index}]: {clipped(repr(known), 2 * QUOTE_LIMIT)} and "
+                f"{clipped(repr(param), 2 * QUOTE_LIMIT)} share label '{clipped(label)}'"
+            )
         rows[label] = index
     return rows
 

@@ -59,6 +59,7 @@ FORMAT_VERSION = 1
 # Compound parameters nest at most this deep, since _param_from_spec reads
 # them with one recursive call per level and a document's depth is outside input.
 _MAX_NESTING = 100
+_TOO_DEEP = f"compound parameters nested too deeply (limit {_MAX_NESTING} levels)"
 
 
 class _Number(Decimal):
@@ -124,7 +125,7 @@ def _param_from_spec(spec: object, where: str, depth: int = 0) -> ParamLike:
             raise ParseError(f"{where}.negated: must be true or false") from None
     if set(spec) == {"left", "right"}:
         if depth == _MAX_NESTING:
-            raise ParseError(f"{where}: compound parameters nested too deeply (limit {_MAX_NESTING} levels)")
+            raise ParseError(f"{where}: {_TOO_DEEP}")
         return CompoundParameter(
             _param_from_spec(spec["left"], f"{where}.left", depth + 1),
             _param_from_spec(spec["right"], f"{where}.right", depth + 1),
@@ -134,8 +135,16 @@ def _param_from_spec(spec: object, where: str, depth: int = 0) -> ParamLike:
     )
 
 
-def _param_to_spec(param: ParamLike) -> dict:
-    return _fold(param.sort_key(), dict, dict)
+def _writable_specs(parameters: tuple[ParamLike, ...]) -> list[dict]:
+    """The parameters' specs, refusing any nested deeper than a reader takes."""
+    specs = []
+    for index, param in enumerate(parameters):
+        key = param.sort_key()
+        if len(key) > 4 * _MAX_NESTING + 3:  # n products make 4n + 3 entries and nest at most n deep
+            if _fold(key, lambda **_: 0, lambda left, right: 1 + max(left, right)) > _MAX_NESTING:
+                raise ParseError(f"parameters[{index}]: {_TOO_DEEP}")
+        specs.append(_fold(key, dict, dict))
+    return specs
 
 
 def _value_set(label: str, cells: object, universe: tuple[str, ...], positions: dict, columns: tuple) -> None:
@@ -245,7 +254,7 @@ def soft_set_to_document(soft_set: SoftSet) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "universe": list(soft_set.universe),
-        "parameters": [_param_to_spec(p) for p in soft_set.parameters],
+        "parameters": [_fold(p.sort_key(), dict, dict) for p in soft_set.parameters],
         "grades": {
             param.label: {
                 element: [GRADE_TEXTS[t], GRADE_TEXTS[i], GRADE_TEXTS[f]]
@@ -266,8 +275,10 @@ def serialize_soft_set(soft_set: SoftSet) -> str:
 
     The text is ``json.dumps(soft_set_to_document(soft_set), indent=2,
     sort_keys=True)`` plus a newline.  The grades, nearly all of it, are
-    written straight from the tick columns in that layout.
+    written straight from the tick columns in that layout.  A parameter
+    nested deeper than a reader takes is a ParseError.
     """
+    specs = _writable_specs(soft_set.parameters)
     quote = json.encoder.encode_basestring_ascii
     text = GRADE_TEXTS
     universe = soft_set.universe
@@ -288,7 +299,7 @@ def serialize_soft_set(soft_set: SoftSet) -> str:
         "{\n"
         f'  "format_version": {FORMAT_VERSION},\n'
         f'  "grades": {grades},\n'
-        f'  "parameters": {_nested_json([_param_to_spec(p) for p in soft_set.parameters])},\n'
+        f'  "parameters": {_nested_json(specs)},\n'
         f'  "universe": {_nested_json(list(universe))}\n'
         "}\n"
     )

@@ -82,7 +82,7 @@ class UnknownLaw(InssError):
 QUOTE_LIMIT = 80
 
 
-def clipped(text: str) -> str:
+def clipped(text: str, limit: int = QUOTE_LIMIT) -> str:
     """``text`` for an error message: whole when short, else its first
-    ``QUOTE_LIMIT`` characters followed by "..."."""
-    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
+    ``limit`` characters followed by "..."."""
+    return text if len(text) <= limit else text[:limit] + "..."

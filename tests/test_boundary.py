@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inss import (
+    CompoundParameter,
     ConstraintViolation,
     DecisionTable,
     DuplicateElement,
@@ -32,6 +33,8 @@ from inss import (
     load_reference_matrix,
     load_soft_set,
     or_op,
+    save_soft_set,
+    serialize_soft_set,
     union,
 )
 from inss.cli import main
@@ -76,6 +79,14 @@ def chained_product_document(depth):
     label = "(" * depth + "a" + ", b)" * depth
     grades = f'{{"{label}": {{"x": ["0", "0", "0"], "y": ["1", "0", "0"]}}}}'
     return f'{{"format_version": 1, "universe": ["x", "y"], "parameters": [{spec}], "grades": {grades}}}'
+
+
+def chained_product(depth):
+    """A one-element soft set of one parameter ``depth`` products deep, along the left."""
+    param = Parameter("a")
+    for _ in range(depth):
+        param = CompoundParameter(param, Parameter("b"))
+    return SoftSet(("x",), [param], {param: {"x": ZERO_TRIPLE}})
 
 
 class TestRepeatedChoices:
@@ -409,6 +420,19 @@ class TestStrictJson:
         assert (code, out) == (1, "")
         assert err.startswith("error: ParseError: parameters[0]") and len(err) < 200
 
+    def test_parameters_sharing_a_huge_label_give_a_short_error_line(self, tmp_path):
+        # Both parameters are quoted, each clipped at twice the usual length.
+        long = "x" * 5000
+        specs = [{"name": "not " + long, "negated": False}, {"name": long, "negated": True}]
+        code, out, err = run("validate", write(tmp_path, json.dumps(doc_with(["b1"], specs, {}))))
+        assert (code, out) == (1, "")
+        known = clipped(f"Parameter(name='not {long}', negated=False)", 2 * QUOTE_LIMIT)
+        other = clipped(f"Parameter(name='{long}', negated=True)", 2 * QUOTE_LIMIT)
+        assert err == (
+            f"error: DuplicateParameter: parameters[1]: {known} and {other} share label '{clipped('not ' + long)}'\n"
+        )
+        assert len(err) < 500
+
     @pytest.mark.parametrize(
         "universe, names, grades, message",
         [
@@ -502,6 +526,7 @@ class TestStrictJson:
     def test_deep_compound_parameters_end_cleanly(self, tmp_path, depth):
         # A document nests compound parameters at most 100 levels; every command
         # reads it, or refuses it at load, even from deep in a caller's stack.
+        # A product is one level deeper than its factors, and is refused at write.
         path = write(tmp_path, chained_product_document(depth))
         if depth <= 100:
             load_soft_set(path)
@@ -511,19 +536,35 @@ class TestStrictJson:
         for command in ALL_COMMANDS:
             args = [command, path] if command in ONE_FILE_COMMANDS else [command, path, path]
             code, _, err = beneath(EXTRA_FRAMES, run, *args)
-            if depth <= 100:
+            if depth + (command in ("and", "or")) <= 100:
                 assert (command, code, err) == (command, 0, "")
             else:
                 assert (command, code) == (command, 1)
                 assert err.startswith("error: ParseError:") and "nested too deeply" in err
 
+    @pytest.mark.parametrize("depth", [101, 1000, 5000])
+    def test_writers_refuse_what_readers_refuse(self, tmp_path, depth):
+        chain, out = chained_product(depth), tmp_path / "chain.json"
+        for write_chain in (serialize_soft_set, lambda soft_set: save_soft_set(soft_set, out)):
+            with pytest.raises(ParseError) as caught:
+                beneath(EXTRA_FRAMES, write_chain, chain)
+            assert str(caught.value) == "parameters[0]: compound parameters nested too deeply (limit 100 levels)"
+        assert not out.exists()
+
+    def test_the_deepest_writable_chain_round_trips(self, tmp_path):
+        chain, out = chained_product(100), tmp_path / "chain.json"
+        beneath(EXTRA_FRAMES, save_soft_set, chain, out)
+        text = out.read_text(encoding="utf-8")
+        assert text == serialize_soft_set(chain) == serialize_soft_set(beneath(EXTRA_FRAMES, load_soft_set, out))
+
     def test_product_of_two_deepest_documents_is_one_level_too_deep(self, tmp_path):
+        # The writer refuses what a reader would, before any byte is written.
         path = write(tmp_path, chained_product_document(100))
         out = tmp_path / "product.json"
-        assert beneath(EXTRA_FRAMES, run, "and", path, path, "--out", out) == (0, "", "")
-        code, _, err = beneath(EXTRA_FRAMES, run, "validate", out)
-        assert code == 1
-        assert err.startswith("error: ParseError: parameters[0].left") and "nested too deeply" in err
+        assert beneath(EXTRA_FRAMES, run, "and", path, path, "--out", out) == (
+            1, "", "error: ParseError: parameters[0]: compound parameters nested too deeply (limit 100 levels)\n"
+        )
+        assert not out.exists()
 
 
 def test_empty_params_is_an_empty_parameter_set():

@@ -396,6 +396,20 @@ class TestParserReuse:
         assert calls == [name]
 
 
+# What ``import inss`` exported when the package listed its names by hand.
+PACKAGE_NAMES_BEFORE_RE_EXPORT = (
+    "CellAudit", "ComparisonMatrix", "CompoundParameter", "ConstraintViolation", "DecisionTable",
+    "DuplicateElement", "DuplicateParameter", "EmptyParameterIntersection", "EmptyParameterSet", "EmptyUniverse",
+    "FORMAT_VERSION", "GRADE_SCALE", "Grade", "GradeTriple", "InsSet", "InssError", "MatrixDiff", "OutOfRange",
+    "Parameter", "ParseError", "PrecisionLoss", "ReferenceMatrix", "ReferenceMismatch", "ScoreVector",
+    "SelectionReport", "SoftSet", "UniverseMismatch", "UnknownLaw", "UnknownParameter", "__version__", "and_op",
+    "canonicalize", "comparison_matrix", "complement", "complement_triple", "equals", "intersection", "is_null",
+    "is_subset", "load_reference_matrix", "load_soft_set", "not_parameters", "or_op", "render_table",
+    "save_soft_set", "scores", "select_best", "serialize_soft_set", "soft_set_to_document", "union",
+    "validate_triple",
+)
+
+
 class TestImports:
     def test_cli_import_leaves_the_oracle_out(self):
         code = "import sys, inss.cli; print('inss.oracle' in sys.modules)"
@@ -406,6 +420,19 @@ class TestImports:
         code = "import sys, inss.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+    def test_the_package_re_exports_each_module_s_public_names(self):
+        modules = (inss.grades, inss.algebra, inss.decision, inss.documents, inss.errors)
+        assert inss.__all__ == ["__version__", *(name for module in modules for name in module.__all__)]
+        assert len(set(inss.__all__)) == len(inss.__all__)
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(inss, name) is getattr(module, name)
+        assert not {"oracle", "cli"} & set(inss.__all__)
+
+    def test_every_name_exported_before_still_imports(self):
+        for name in PACKAGE_NAMES_BEFORE_RE_EXPORT:
+            assert name in inss.__all__ and hasattr(inss, name)
 
 
 class TestModuleEntryPoint:

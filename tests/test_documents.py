@@ -3,16 +3,24 @@ import random
 
 import pytest
 from helpers import fixture, random_soft_set
+from hypothesis import given
+from hypothesis import strategies as st
 
 from inss import (
     ConstraintViolation,
     DuplicateElement,
     DuplicateParameter,
+    Grade,
+    GradeTriple,
+    InssError,
     OutOfRange,
     ParseError,
     Parameter,
     PrecisionLoss,
     SoftSet,
+    and_op,
+    complement,
+    intersection,
     load_reference_matrix,
     load_soft_set,
     or_op,
@@ -20,6 +28,7 @@ from inss import (
     save_soft_set,
     serialize_soft_set,
     soft_set_to_document,
+    union,
 )
 
 ALL_SOFT_SET_FIXTURES = [
@@ -46,6 +55,21 @@ def write_doc(tmp_path, obj, name="doc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj), encoding="utf-8")
     return path
+
+
+# Small operands for chains of operations, with names that look like labels,
+# so that the labels of different parameters can collide once combined.
+CHAIN_UNIVERSE = ("x", "y")
+CHAIN_NAMES = st.sampled_from(["a", "b", "a, b", "b, c", "not a", "not a, b", "(a, b)"])
+CHAIN_CELLS = st.sampled_from([(0, 0, 0), (3000, 2000, 4000), (10000, 0, 0), (0, 10000, 5000), (5000, 5000, 5000)])
+
+
+@st.composite
+def chain_operands(draw):
+    parameters = st.builds(Parameter, CHAIN_NAMES, st.booleans())
+    params = draw(st.lists(parameters, min_size=1, max_size=3, unique_by=lambda p: p.label))
+    cells = {p: {e: GradeTriple(*map(Grade, draw(CHAIN_CELLS))) for e in CHAIN_UNIVERSE} for p in params}
+    return SoftSet(CHAIN_UNIVERSE, params, cells)
 
 
 def minimal_doc():
@@ -91,6 +115,40 @@ class TestRoundTrips:
             target = tmp_path / f"s{k}.json"
             save_soft_set(s, target)
             assert load_soft_set(target) == s
+
+    @given(
+        start=chain_operands(),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([union, intersection, complement, and_op, or_op]),
+                st.one_of(chain_operands(), st.integers(0, 6)),  # a fresh set, or an earlier result
+            ),
+            max_size=6,
+        ),
+    )
+    def test_operation_chains_round_trip(self, tmp_path_factory, start, steps):
+        # Each step raises a named error or gives a set that is written, read
+        # back equal, and written again to the same bytes.
+        path = tmp_path_factory.getbasetemp() / "chain.json"
+        made = [start]
+        for operation, other in steps:
+            current = made[-1]
+            if operation is complement:
+                operands = (current,)
+            else:
+                right = other if isinstance(other, SoftSet) else made[other % len(made)]
+                if len(current.parameters) * len(right.parameters) > 64:  # keep products of products small
+                    continue
+                operands = (current, right)
+            try:
+                result = operation(*operands)
+            except InssError:
+                continue
+            text = serialize_soft_set(result)
+            path.write_text(text, encoding="utf-8")
+            loaded = load_soft_set(path)
+            assert loaded == result and serialize_soft_set(loaded) == text
+            made.append(result)
 
     def test_document_shape(self):
         doc = soft_set_to_document(load_soft_set(fixture("qualities_b.json")))
