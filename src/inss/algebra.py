@@ -25,9 +25,10 @@ freely.  A soft set also records whether its cells are known to be valid: a
 result computed from valid sets is valid without a check, and any other
 result is checked in bulk, raising ConstraintViolation for its first bad
 cell in row order.  The matrix is the only store of grades: a soft set
-holds no GradeTriple.  Its value sets (``InsSet``) are views of its rows,
-each building an element's triple when that element is first read and
-keeping it for as long as the caller keeps the view.
+holds no GradeTriple and no view.  A value set (``InsSet``) is a function
+of its row, so each read of one makes a new view of the row, which builds
+an element's triple when that element is first read and keeps it for as
+long as the caller keeps the view.
 
 Parameters are small immutable objects compared by structure.  Each
 computes its label and hash once, at construction, from its children's.  A
@@ -40,9 +41,9 @@ from __future__ import annotations
 
 import itertools
 import re
-import weakref
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from os.path import commonprefix
 from types import MappingProxyType
 
 from .errors import (
@@ -230,14 +231,15 @@ class InsSet(Mapping):
 
     Built from a mapping, it keeps one dict of the given GradeTriples, keyed
     in universe order.  A soft set's value set (see :meth:`SoftSet.value_set`)
-    is instead a view of one row of the soft set's tick matrix: its dict is a
-    :class:`~inss.grades.RowTriples`, which builds an element's triple when
-    that element is first read and keeps it, so each read after the first
-    returns the same object.  Either way the assignment never changes, and
-    copies and pickles hold the triples, not the matrix.
+    is instead a new view of one row of the soft set's tick matrix: its dict
+    is a :class:`~inss.grades.RowTriples`, which builds an element's triple
+    when that element is first read through this view and keeps it, so each
+    later read through the view returns the same object.  Either way the
+    assignment never changes, and copies and pickles hold the triples, not
+    the matrix.
     """
 
-    __slots__ = ("_universe", "_cells", "__weakref__")
+    __slots__ = ("_universe", "_cells")
 
     def __init__(self, universe: Sequence[str], triples: Mapping[str, GradeTriple]):
         universe = tuple(universe)
@@ -311,10 +313,13 @@ def label_index(parameters: Sequence[ParamLike]) -> dict[str, int]:
             known = parameters[rows[label]]
             if known == param:
                 raise DuplicateParameter(f"parameters[{index}]: duplicate parameter '{clipped(label)}'")
-            raise DuplicateParameter(  # a compound's repr is long even for short names
-                f"parameters[{index}]: {clipped(repr(known), 2 * QUOTE_LIMIT)} and "
-                f"{clipped(repr(param), 2 * QUOTE_LIMIT)} share label '{clipped(label)}'"
-            )
+            # A compound's repr is long even for short names, so each is clipped at twice the limit.
+            reprs = [repr(known), repr(param)]
+            first, second = (clipped(text, 2 * QUOTE_LIMIT) for text in reprs)
+            if first == second:  # the clip hides where they differ: quote each from just before it
+                at = len(commonprefix(reprs)) - 10
+                first, second = ("..." + clipped(text[at:], 2 * QUOTE_LIMIT) for text in reprs)
+            raise DuplicateParameter(f"parameters[{index}]: {first} and {second} share label '{clipped(label)}'")
         rows[label] = index
     return rows
 
@@ -329,14 +334,14 @@ class SoftSet:
     Besides this module, only ``documents.load_soft_set`` lays rows out;
     other modules read them through :func:`tick_rows`.
 
-    The set holds no GradeTriple.  :meth:`value_set` hands out a view of one
-    row (see :class:`InsSet`), and ``_views`` holds each row's view weakly:
-    while any caller keeps a row's view, that row's value set is that same
-    object, and once every caller has let it go, its triples go with it and
-    the next read makes a new view.  All of a set's views share one element
-    → position dict, ``_positions``, built when the first view is made.
-    Two threads reading a row or a cell for the first time at once may each
-    build an equal object; either one is kept.
+    The set holds no GradeTriple and no view.  :meth:`value_set`,
+    :attr:`family` and :meth:`triple` make a new view of a row on each call
+    (see :class:`InsSet`), so two reads of one row give equal, distinct
+    value sets, and a view's triples go when its caller lets it go.  All of
+    a set's views share one element → position dict, ``_positions``, built
+    when the first view is made.  Two threads reading a cell of one view or
+    a product's parameter for the first time at once may each build an
+    equal object; either one is kept.
 
     A product keeps its two factor tuples in ``_factors``, and its
     ``_parameters`` start as a list of None: :meth:`_param` builds row
@@ -353,7 +358,7 @@ class SoftSet:
     :meth:`find_parameter` (or ``decision.select_best``, which calls it).
     """
 
-    __slots__ = ("_universe", "_parameters", "_rows", "_ticks", "_valid", "_views", "_factors", "_positions")
+    __slots__ = ("_universe", "_parameters", "_rows", "_ticks", "_valid", "_factors", "_positions")
 
     def __init__(
         self,
@@ -404,12 +409,11 @@ class SoftSet:
         self._rows = rows
         self._ticks = ticks
         self._valid = valid
-        self._views = {}
         self._factors = factors
         self._positions = None
 
     def __reduce__(self) -> tuple:
-        # Copied and pickled without the views handed out, which it holds weakly.
+        # Copied and pickled without ``_positions``, which the copy builds again when it first needs it.
         return SoftSet._of, (self._universe, self._parameters, self._rows, self._ticks, self._valid, self._factors)
 
     def _param(self, row: int) -> ParamLike:
@@ -457,20 +461,14 @@ class SoftSet:
         return self._row(param) is not None
 
     def value_set(self, param: ParamLike) -> InsSet:
-        """``param``'s value set: a view of its row, each triple built when first read."""
+        """``param``'s value set: a new view of its row, each triple built when first read."""
         return self._view(self._known_row(param))
 
     def _view(self, row: int) -> InsSet:
-        """The view of ``row`` that a caller still holds, else a new one."""
-        held = self._views.get(row)
-        view = None if held is None else held()
-        if view is None:
-            if self._positions is None:
-                self._positions = {element: k for k, element in enumerate(self._universe)}
-            cells = RowTriples(self._ticks, row * len(self._universe), self._positions)
-            view = InsSet._of(self._universe, cells)
-            self._views[row] = weakref.ref(view)
-        return view
+        """A new view of ``row``."""
+        if self._positions is None:
+            self._positions = {element: k for k, element in enumerate(self._universe)}
+        return InsSet._of(self._universe, RowTriples(self._ticks, row * len(self._universe), self._positions))
 
     def triple(self, param: ParamLike, element: str) -> GradeTriple:
         return self.value_set(param)[element]

@@ -57,9 +57,10 @@ def oracle_is_subset(left: SoftSet, right: SoftSet) -> bool:
     for param in left.parameters:
         if param not in right.parameters:
             return False
+        ours, theirs = left.value_set(param), right.value_set(param)
         for element in left.universe:
-            a = left.value_set(param)[element]
-            b = right.value_set(param)[element]
+            a = ours[element]
+            b = theirs[element]
             if a.truth.ten_thousandths > b.truth.ten_thousandths:
                 return False
             if a.indeterminacy.ten_thousandths > b.indeterminacy.ten_thousandths:

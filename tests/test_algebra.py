@@ -33,7 +33,8 @@ from inss import (
     soft_set_to_document,
     union,
 )
-from inss.errors import clipped
+from inss.algebra import label_index
+from inss.errors import QUOTE_LIMIT, clipped
 
 T = GradeTriple
 G = Grade
@@ -294,7 +295,7 @@ class TestConstruction:
         s = tiny(names=("q", "p"))
         family = s.family
         assert list(family) == list(s.parameters) == [Parameter("q"), Parameter("p")]
-        assert all(family[p] is s.value_set(p) for p in s.parameters)
+        assert all(family[p] == s.value_set(p) and family[p] is not s.value_set(p) for p in s.parameters)
         with pytest.raises(TypeError):
             family[Parameter("r")] = family[Parameter("p")]
 
@@ -401,11 +402,13 @@ class TestParameterLookup:
 
     def test_equal_parameters_built_apart_share_one_value_set(self):
         a, b = Parameter("a"), Parameter("b")
-        s = and_op(tiny(names=("a",)), tiny(names=("b",)))
+        s = and_op(tiny(names=("a",)), union(tiny(names=("b",)), tiny(names=("c",), fill=(1000, 0, 6000))))
         pair, twin = CompoundParameter(a, b), CompoundParameter(Parameter("a"), Parameter("b"))
         assert pair is not twin and pair == twin
-        assert s.value_set(pair) is s.value_set(twin) is s.value_set(s.parameters[0])
-        assert s.has_parameter(twin) and s.triple(twin, "x") == s.value_set(pair)["x"]
+        own, neighbour = s._view(0), s._view(1)  # rows (a, b) and (a, c)
+        assert own != neighbour
+        assert s.value_set(pair) == s.value_set(twin) == own
+        assert s.has_parameter(twin) and s.triple(twin, "x") == own["x"] != neighbour["x"]
 
     def test_union_of_sets_built_apart_keeps_both_orders(self):
         left, right = tiny(names=("p", "q", "r")), tiny(names=("s", "q", "t", "p"), fill=(5000, 0, 0))
@@ -453,6 +456,24 @@ class TestLabelCollisions:
             "parameters[1]: Parameter(name='not x', negated=False) and "
             "Parameter(name='x', negated=True) share label 'not x'"
         )
+
+    def test_reprs_alike_past_the_clip_are_quoted_from_where_they_differ(self):
+        long = "x" * 200
+        known = CompoundParameter(Parameter(long + ", y"), Parameter("z"))
+        other = CompoundParameter(Parameter(long), Parameter("y, z"))
+        with pytest.raises(DuplicateParameter) as caught:
+            SoftSet(("e",), [known, other], {p: {"e": triple(0, 0, 0)} for p in (known, other)})
+        assert str(caught.value) == (
+            "parameters[1]: ...xxxxxxxxxx, y', negated=False), right=Parameter(name='z', negated=False)) and "
+            "...xxxxxxxxxx', negated=False), right=Parameter(name='y, z', negated=False)) "
+            f"share label '{clipped(known.label)}'"
+        )
+        tail = CompoundParameter(Parameter(long), Parameter("y, z" + "w" * 400))
+        twin = CompoundParameter(Parameter(long + ", y"), Parameter("z" + "w" * 400))
+        with pytest.raises(DuplicateParameter) as caught:
+            label_index([twin, tail])
+        quotes = str(caught.value).removeprefix("parameters[1]: ").split(" share label ")[0].split(" and ")
+        assert quotes[0] != quotes[1] and all(len(q) == 3 + 2 * QUOTE_LIMIT + 3 for q in quotes)
 
 
 class TestGoldenTables:

@@ -6,6 +6,8 @@ import pytest
 from helpers import fixture
 
 import inss.cli
+import inss.oracle
+from inss import CellAudit, ComparisonMatrix
 from inss.cli import main, split_parameter_list
 
 DECIDE_GOLDEN = """\
@@ -221,6 +223,19 @@ class TestDecide:
         assert out == DECIDE_GOLDEN
         code_again, out_again, _ = run(capsys, *args)
         assert (code_again, out_again) == (code, out)
+
+    def test_audit_refuses_when_the_oracle_disagrees(self, capsys, monkeypatch):
+        recount = inss.oracle.oracle_matrix
+
+        def one_cell_off(table):
+            matrix = recount(table)
+            (first, *rest), *other_rows = matrix.audits
+            first = CellAudit(first.truth_wins + 1, first.indeterminacy_wins, first.falsity_wins)
+            return ComparisonMatrix(matrix.objects, matrix.parameters, ((first, *rest), *other_rows))
+
+        monkeypatch.setattr(inss.oracle, "oracle_matrix", one_cell_off)
+        code, out, err = run(capsys, "decide", fixture("shopping.json"), "--audit")
+        assert (code, out, err) == (1, "", "error: oracle recount disagrees with production matrix\n")
 
     def test_ci_fixture_holds_the_same_report(self):
         assert fixture("shopping_decide.txt").read_text(encoding="utf-8") == DECIDE_GOLDEN

@@ -1,23 +1,26 @@
 """A soft set's value sets are views of its tick matrix.
 
-A soft set holds no GradeTriple.  ``value_set`` hands out a view of one row
-of the matrix, which builds a cell's triple when that cell is first read and
-keeps it for as long as the caller keeps the view; the soft set holds its
-views weakly.  These tests hold every cell of every view to the oracle's
-dict-of-tuples results, computed from the documents' own cells, and pin what
-a view shares, keeps, lets go of and carries into a copy or a pickle.
+A soft set holds no GradeTriple and no view.  Each call of ``value_set``,
+``family`` or ``triple`` makes a new view of a row of the matrix, which
+builds a cell's triple when that cell is first read through it and keeps it
+for as long as the caller keeps the view.  These tests hold every cell of
+every view to the oracle's dict-of-tuples results, computed from the
+documents' own cells, and pin what a view shares, keeps, lets go of and
+carries into a copy or a pickle.
 """
 
 import copy
+import gc
 import json
 import pickle
 import random
-import weakref
+import sys
 
 import pytest
 
 from inss import (
     CompoundParameter,
+    GradeTriple,
     InsSet,
     Parameter,
     SoftSet,
@@ -105,9 +108,10 @@ def test_a_held_view_is_the_value_set_and_keeps_each_triple():
     param = s.parameters[1]
     view = s.value_set(param)
     element = s.universe[-1]
-    assert view[element] is view[element] is s.triple(param, element)
-    assert s.value_set(param) is view is s.family[param]
-    assert s.value_set(CompoundParameter(param.left, param.right)) is view
+    assert view[element] is view[element] == s.triple(param, element)
+    for again in (s.value_set(param), s.family[param], s.value_set(CompoundParameter(param.left, param.right))):
+        assert again == view and again is not view
+        assert again[element] == view[element] and again[element] is not view[element]
 
 
 def test_a_dropped_view_goes_and_the_next_read_makes_an_equal_one():
@@ -115,11 +119,11 @@ def test_a_dropped_view_goes_and_the_next_read_makes_an_equal_one():
     param, element = s.parameters[0], s.universe[0]
     view = s.value_set(param)
     first = view[element]
-    held = weakref.ref(view)
-    del view
-    assert held() is None
     again = s.value_set(param)
-    assert again[element] == first and again[element] is not first
+    assert again is not view and again[element] == first and again[element] is not first
+    count = sys.getrefcount(first)
+    del view  # nothing else holds it, so its triple loses its one other holder
+    assert sys.getrefcount(first) == count - 1
 
 
 def test_family_builds_no_triple(monkeypatch):
@@ -137,7 +141,23 @@ def test_family_builds_no_triple(monkeypatch):
     view = family[s.parameters[0]]
     view["b3"], view["b3"]
     assert built == ["b3"]
-    assert s.value_set(s.parameters[0])["b3"] is view["b3"] and built == ["b3"]
+    assert s.value_set(s.parameters[0])["b3"] == view["b3"] and built == ["b3", "b3"]
+    assert s.triple(s.parameters[0], "b3") == view["b3"] and built == ["b3", "b3", "b3"]
+
+
+def test_a_soft_set_holds_no_view_and_no_triple():
+    s = product()
+    held = [s.value_set(p) for p in s.parameters] + list(s.family.values())
+    for view in held:
+        dict(view)
+    held.append(s.triple(s.parameters[0], s.universe[0]))
+    reached, todo = [], gc.get_referents(s)
+    while todo:  # what the set holds, and what the containers among that hold
+        ref = todo.pop()
+        reached.append(ref)
+        if isinstance(ref, (tuple, list, dict)):
+            todo += gc.get_referents(ref)
+    assert not [ref for ref in reached if isinstance(ref, (InsSet, RowTriples, GradeTriple))]
 
 
 def test_an_unknown_element_is_a_key_error():
