@@ -19,16 +19,22 @@ universe-many ticks per parameter, rows in parameter order.  Every operation
 packs whole columns into ints and works on all their cells at once with the
 lane kernels of :mod:`inss.grades`: complement swaps the truth and falsity
 columns; union, intersection and is_subset gather the shared rows of each
-side and make one kernel call; a product's kernel result is its matrix as
-it stands.  Matrices are never changed once built, so soft sets share them
-freely.  A soft set also records whether its cells are known to be valid: a
-result computed from valid sets is valid without a check, and any other
-result is checked in bulk, raising ConstraintViolation for its first bad
-cell in row order.  The matrix is the only store of grades: a soft set
-holds no GradeTriple and no view.  A value set (``InsSet``) is a function
-of its row, so each read of one makes a new view of the row, which builds
-an element's triple when that element is first read and keeps it for as
-long as the caller keeps the view.
+side and make one kernel call.  A product of valid sets computes its grades
+when they are read: it keeps its operands' two matrices and its rule, so an
+unread product holds P + Q factor rows, not P·Q rows.  The first read of
+the whole matrix (:meth:`SoftSet._matrix`) runs the full-product kernel
+once and keeps its result as the matrix as it stands; a restriction to at
+most half the rows gathers only the chosen rows' factor rows and makes one
+kernel call; complement swaps the factor matrices and the rule.  Matrices
+are never changed once built, so soft sets share them freely.  A soft set
+also records whether its cells are known to be valid: a result computed
+from valid sets is valid without a check, and any other result is checked
+in bulk, raising ConstraintViolation for its first bad cell in row order.
+The matrix is the only store of grades: a soft set holds no GradeTriple
+and no view.  A value set (``InsSet``) is a function of its row, so each
+read of one makes a new view of the row, which builds an element's triple
+when that element is first read and keeps it for as long as the caller
+keeps the view.
 
 Parameters are small immutable objects compared by structure.  Each
 computes its label and hash once, at construction, from its children's.  A
@@ -334,10 +340,21 @@ class SoftSet:
     Besides this module, only ``documents.load_soft_set`` lays rows out;
     other modules read them through :func:`tick_rows`.
 
-    The set holds no GradeTriple and no view.  :meth:`value_set`,
-    :attr:`family` and :meth:`triple` make a new view of a row on each call
-    (see :class:`InsSet`), so two reads of one row give equal, distinct
-    value sets, and a view's triples go when its caller lets it go.  All of
+    Every reader of the matrix goes through :meth:`_matrix`.  An unread
+    product has ``_ticks`` None and a ``_source`` of its two factor matrices
+    and its rule; the first ``_matrix()`` call runs the full-product kernel,
+    keeps the result in ``_ticks`` and only then drops ``_source``, so no
+    state has neither.  Two threads reading an unread product at once may
+    each compute an equal matrix; either one is kept.  :meth:`restrict`
+    reads ``_source`` once and, while it is there, computes a choice of at
+    most half the rows from their factor rows alone.
+
+    The set holds no GradeTriple and no view.  :meth:`value_set` and
+    :attr:`family` make a new view of a row on each call (see
+    :class:`InsSet`), so two reads of one row give equal, distinct value
+    sets, and a view's triples go when its caller lets it go; :meth:`triple`
+    looks its one cell up in a bare :class:`~inss.grades.RowTriples` of the
+    row, with no view.  All of
     a set's views share one element → position dict, ``_positions``, built
     when the first view is made.  Two threads reading a cell of one view or
     a product's parameter for the first time at once may each build an
@@ -349,8 +366,8 @@ class SoftSet:
     something first reads it, then keeps it, so each row hands out one
     object (threads racing on it may build equal ones, as above);
     :attr:`parameters` builds the rest in one pass and keeps them as a
-    tuple.  Every other soft set has ``_factors`` None and a tuple of
-    parameters.
+    tuple.  Every other soft set has ``_factors`` and ``_source`` None and a
+    tuple of parameters.
 
     :meth:`_row` is the one lookup from a parameter to its row, for every
     method and operation that takes parameters; anything but a parameter
@@ -358,7 +375,7 @@ class SoftSet:
     :meth:`find_parameter` (or ``decision.select_best``, which calls it).
     """
 
-    __slots__ = ("_universe", "_parameters", "_rows", "_ticks", "_valid", "_factors", "_positions")
+    __slots__ = ("_universe", "_parameters", "_rows", "_ticks", "_valid", "_factors", "_source", "_positions")
 
     def __init__(
         self,
@@ -392,37 +409,58 @@ class SoftSet:
 
     @classmethod
     def _of(
-        cls, universe: tuple, parameters, rows: dict[str, int], ticks: Columns, valid: bool, factors=None
+        cls, universe: tuple, parameters, rows: dict[str, int], ticks, valid: bool, factors=None, source=None
     ) -> "SoftSet":
         """A soft set over a checked ``universe`` holding the tick matrix
         ``ticks``, which it keeps without copying; ``rows`` is
         ``label_index(parameters)`` and ``valid`` says whether every cell is
         known to meet the joint bounds.  A product passes its factor tuples
-        as ``factors`` and a list of None as ``parameters``."""
+        as ``factors`` and a list of None as ``parameters``; an unread one
+        passes None as ``ticks`` and its ``source`` (see :func:`_pairs`)."""
         self = cls.__new__(cls)
-        self._set(universe, parameters, rows, ticks, valid, factors)
+        self._set(universe, parameters, rows, ticks, valid, factors, source)
         return self
 
-    def _set(self, universe, parameters, rows, ticks, valid, factors=None) -> None:
+    def _set(self, universe, parameters, rows, ticks, valid, factors=None, source=None) -> None:
         self._universe = universe
         self._parameters = parameters
         self._rows = rows
         self._ticks = ticks
         self._valid = valid
         self._factors = factors
+        self._source = source
         self._positions = None
 
     def __reduce__(self) -> tuple:
-        # Copied and pickled without ``_positions``, which the copy builds again when it first needs it.
-        return SoftSet._of, (self._universe, self._parameters, self._rows, self._ticks, self._valid, self._factors)
+        # Copied and pickled with its matrix, never a source, and without ``_positions``.
+        return SoftSet._of, (self._universe, self._parameters, self._rows, self._matrix(), self._valid, self._factors)
+
+    def _matrix(self) -> Columns:
+        """The tick matrix; an unread product's is computed here on first read, then kept."""
+        ticks = self._ticks
+        if ticks is None:
+            source = self._source
+            if source is None:  # another thread has just computed and kept it
+                return self._ticks
+            lefts, rights = self._factors
+            ticks = self._ticks = _product_matrix(*source, len(lefts), len(rights), len(self._universe))
+            self._source = None
+        return ticks
+
+    def _element_positions(self) -> dict[str, int]:
+        """Each element's place in a row, built when first needed and shared by every view."""
+        if self._positions is None:
+            self._positions = {element: k for k, element in enumerate(self._universe)}
+        return self._positions
 
     def _param(self, row: int) -> ParamLike:
         """The parameter of ``row``; a product's is built when first read, then kept."""
-        param = self._parameters[row]
+        parameters = self._parameters  # once: another thread's ``parameters`` may swap the list for a tuple
+        param = parameters[row]
         if param is None:
             lefts, rights = self._factors
             left, right = divmod(row, len(rights))
-            param = self._parameters[row] = CompoundParameter(lefts[left], rights[right])
+            param = parameters[row] = CompoundParameter(lefts[left], rights[right])
         return param
 
     def _row(self, param: ParamLike) -> int | None:
@@ -466,12 +504,15 @@ class SoftSet:
 
     def _view(self, row: int) -> InsSet:
         """A new view of ``row``."""
-        if self._positions is None:
-            self._positions = {element: k for k, element in enumerate(self._universe)}
-        return InsSet._of(self._universe, RowTriples(self._ticks, row * len(self._universe), self._positions))
+        ticks, positions = self._ticks, self._positions
+        if ticks is None or positions is None:  # called once per row by a caller reading them all
+            ticks, positions = self._matrix(), self._element_positions()
+        return InsSet._of(self._universe, RowTriples(ticks, row * len(self._universe), positions))
 
     def triple(self, param: ParamLike, element: str) -> GradeTriple:
-        return self.value_set(param)[element]
+        """``param``'s triple for ``element``, built from its cell of the matrix with no view."""
+        start, positions = self._known_row(param) * len(self._universe), self._positions or self._element_positions()
+        return RowTriples(self._matrix(), start, positions)[element]
 
     def find_parameter(self, label: str) -> ParamLike:
         """Look a parameter up by its display label."""
@@ -481,9 +522,22 @@ class SoftSet:
             raise UnknownParameter(f"unknown parameter '{clipped(str(label))}'") from None
 
     def restrict(self, parameters: Sequence[ParamLike]) -> "SoftSet":
-        """The same universe, narrowed to the given parameters in the given order."""
+        """The same universe, narrowed to the given parameters in the given order.
+
+        An unread product computes only the chosen rows, from their factor
+        rows, when they are at most half its rows; gathering rows one by one
+        costs more than computing them all at once beyond that."""
         parameters = tuple(parameters)
-        ticks = _stacked(len(self._universe), [(self._ticks, self._known_row(param)) for param in parameters])
+        rows, size = [self._known_row(param) for param in parameters], len(self._universe)
+        source = self._source
+        if source is not None and 2 * len(rows) <= len(self._parameters):
+            lefts, rights, rule = source
+            pairs = [divmod(row, len(self._factors[1])) for row in rows]
+            ours, theirs = _picked(lefts, [a for a, _ in pairs], size), _picked(rights, [b for _, b in pairs], size)
+            ticks = _combined(ours, theirs, size * len(rows), rule)
+        else:
+            matrix = self._matrix()
+            ticks = _stacked(size, [(matrix, row) for row in rows])
         return SoftSet._of(self._universe, parameters, label_index(parameters), ticks, self._valid)
 
     def __eq__(self, other: object) -> bool:
@@ -492,7 +546,7 @@ class SoftSet:
         return (
             self._universe == other._universe
             and self.parameters == other.parameters
-            and self._ticks == other._ticks
+            and self._matrix() == other._matrix()
         )
 
     def __repr__(self) -> str:
@@ -503,10 +557,10 @@ def tick_rows(soft_set: SoftSet) -> Iterator[tuple[list[int], list[int], list[in
     """Each value set's truth, indeterminacy and falsity ticks, in parameter
     order, each a list in universe order (a list yields its items without
     making new ints, where an array boxes each one)."""
-    size = len(soft_set.universe)
+    size, ticks = len(soft_set.universe), soft_set._matrix()
     for row in range(len(soft_set._parameters)):
         start = row * size
-        yield tuple(column[start : start + size].tolist() for column in soft_set._ticks)
+        yield tuple(column[start : start + size].tolist() for column in ticks)
 
 
 def _stacked(size: int, pieces: list[tuple[Columns, int]]) -> Columns:
@@ -528,6 +582,17 @@ def _stacked(size: int, pieces: list[tuple[Columns, int]]) -> Columns:
     )
 
 
+def _picked(matrix: Columns, rows: list[int], size: int) -> tuple[int, int, int]:
+    """Rows of ``size`` ticks of ``matrix``, end to end and packed, each
+    distinct row sliced once however often it is picked."""
+    width, packed = 2 * size, []
+    for column in matrix:
+        data = column.tobytes()
+        slices = {row: data[row * width : row * width + width] for row in set(rows)}
+        packed.append(pack(b"".join([slices[row] for row in rows])))
+    return tuple(packed)
+
+
 def _require_same_universe(left: SoftSet, right: SoftSet) -> None:
     if left.universe != right.universe:
         raise UniverseMismatch(
@@ -543,6 +608,10 @@ def _join(a: tuple, b: tuple, guard: int) -> tuple:
 def _meet(a: tuple, b: tuple, guard: int) -> tuple:
     """Min truth, min indeterminacy, max falsity of packed columns."""
     return (smaller(a[0], b[0], guard), smaller(a[1], b[1], guard), larger(a[2], b[2], guard))
+
+
+# Complement turns one rule into the other: swapping truth with falsity swaps max with min.
+_DUAL = {_join: _meet, _meet: _join}
 
 
 def _checked(columns: Columns, from_valid: bool) -> Columns:
@@ -567,9 +636,9 @@ def _paired_rows(left: SoftSet, right: SoftSet) -> list[tuple[int, int]]:
 def _combine(left: SoftSet, right: SoftSet, pairs: list[tuple[int, int]], rule) -> Columns:
     """``rule`` over the paired rows of two soft sets, in one kernel call; the
     result's first bad cell, in row order, raises unless both sets are valid."""
-    size = len(left._universe)
-    ours = tuple(map(pack, _stacked(size, [(left._ticks, a) for a, _ in pairs])))
-    theirs = tuple(map(pack, _stacked(size, [(right._ticks, b) for _, b in pairs])))
+    size, ours, theirs = len(left._universe), left._matrix(), right._matrix()
+    ours = tuple(map(pack, _stacked(size, [(ours, a) for a, _ in pairs])))
+    theirs = tuple(map(pack, _stacked(size, [(theirs, b) for _, b in pairs])))
     return _checked(_combined(ours, theirs, size * len(pairs), rule), left._valid and right._valid)
 
 
@@ -580,9 +649,10 @@ def is_subset(left: SoftSet, right: SoftSet) -> bool:
     pairs = _paired_rows(left, right)
     if len(pairs) < len(left.parameters):
         return False
-    ta, ia, fa = map(pack, left._ticks)
-    tb, ib, fb = map(pack, _stacked(len(left.universe), [(right._ticks, b) for _, b in pairs]))
-    guard = guards(len(left._ticks[0]))
+    ours, theirs = left._matrix(), right._matrix()
+    ta, ia, fa = map(pack, ours)
+    tb, ib, fb = map(pack, _stacked(len(left.universe), [(theirs, b) for _, b in pairs]))
+    guard = guards(len(ours[0]))
     return at_least(tb, ta, guard) and at_least(ib, ia, guard) and at_least(fa, fb, guard)
 
 
@@ -591,19 +661,31 @@ def equals(left: SoftSet, right: SoftSet) -> bool:
     return is_subset(left, right) and is_subset(right, left)
 
 
+def _swapped(ticks: Columns) -> Columns:
+    """Truth and falsity swapped."""
+    truth, indeterminacy, falsity = ticks
+    return falsity, indeterminacy, truth
+
+
 def complement(soft_set: SoftSet) -> SoftSet:
-    """Negate every parameter and swap truth with falsity in every triple."""
-    truth, indeterminacy, falsity = soft_set._ticks
-    ticks = _checked((falsity, indeterminacy, truth), soft_set._valid)
+    """Negate every parameter and swap truth with falsity in every triple.
+
+    The complement of an unread product is unread too (De Morgan): the
+    product of the swapped factor matrices under the dual rule."""
     if soft_set._factors is not None:  # negation distributes over each pair
-        return _pairs(soft_set.universe, *map(not_parameters, soft_set._factors), ticks)
+        factors, source = map(not_parameters, soft_set._factors), soft_set._source
+        if source is not None:
+            lefts, rights, rule = source
+            return _pairs(soft_set.universe, *factors, None, (_swapped(lefts), _swapped(rights), _DUAL[rule]))
+        return _pairs(soft_set.universe, *factors, _swapped(soft_set._matrix()))
+    ticks = _checked(_swapped(soft_set._matrix()), soft_set._valid)
     parameters = not_parameters(soft_set.parameters)
     return SoftSet._of(soft_set.universe, parameters, label_index(parameters), ticks, True)
 
 
 def is_null(soft_set: SoftSet) -> bool:
     """True when every triple is (0, 0, 0)."""
-    return not any(map(any, soft_set._ticks))
+    return not any(map(any, soft_set._matrix()))
 
 
 def union(left: SoftSet, right: SoftSet) -> SoftSet:
@@ -615,9 +697,10 @@ def union(left: SoftSet, right: SoftSet) -> SoftSet:
     pairs = _paired_rows(left, right)
     joined = _combine(left, right, pairs, _join)
     ranks = {a: rank for rank, (a, _) in enumerate(pairs)}
-    pieces = [(joined, ranks[a]) if a in ranks else (left._ticks, a) for a in range(len(left.parameters))]
+    ours, theirs = left._matrix(), right._matrix()
+    pieces = [(joined, ranks[a]) if a in ranks else (ours, a) for a in range(len(left.parameters))]
     extra = sorted(set(range(len(right.parameters))).difference(b for _, b in pairs))
-    pieces += [(right._ticks, b) for b in extra]
+    pieces += [(theirs, b) for b in extra]
     parameters = left.parameters + tuple(right.parameters[b] for b in extra)
     ticks = _stacked(len(left.universe), pieces)
     return SoftSet._of(left.universe, parameters, label_index(parameters), ticks, left._valid and right._valid)
@@ -633,40 +716,53 @@ def intersection(left: SoftSet, right: SoftSet) -> SoftSet:
     return SoftSet._of(left.universe, parameters, label_index(parameters), _combine(left, right, pairs, _meet), True)
 
 
-def _product(left: SoftSet, right: SoftSet, rule) -> SoftSet:
-    """One lane operation per component over every pair at once.
+def _product_matrix(lefts: Columns, rights: Columns, rule, left_count: int, right_count: int, size: int) -> Columns:
+    """The full product's tick matrix, one lane operation per component over every pair at once.
 
-    Each left row is repeated once per right parameter, and right's whole
-    matrix once per left parameter, so lane block ``a * len(right) + b``
-    holds pair (a, b) and the result is the product's tick matrix as it
-    stands.  The result is checked as a whole, so its first bad cell is also
-    the first in row-major pair order: pairs of valid value sets are valid
-    by closure.
+    Each left row is repeated once per right row, and the whole right matrix
+    once per left row, so lane block ``a * right_count + b`` holds pair
+    (a, b) and the result is the product's tick matrix as it stands.
+    """
+    left_lanes = tuple(
+        pack(b"".join([bytes(rows[a * size : a * size + size]) * right_count for a in range(left_count)]))
+        for rows in map(memoryview, lefts)
+    )
+    right_lanes = tuple(pack(column.tobytes() * left_count) for column in rights)
+    return _combined(left_lanes, right_lanes, size * left_count * right_count, rule)
+
+
+def _product(left: SoftSet, right: SoftSet, rule) -> SoftSet:
+    """The product of two soft sets under ``rule``, its grades computed when read.
+
+    Pairs of valid value sets are valid by closure, so a product of valid
+    sets keeps its operands' matrices and ``rule`` as its source.  Any other
+    product is computed now and checked as a whole, so its first bad cell is
+    also the first in row-major pair order.
     """
     _require_same_universe(left, right)
-    size, count, left_count = len(left.universe), len(right.parameters), len(left.parameters)
-    left_lanes = tuple(
-        pack(b"".join([bytes(rows[a * size : a * size + size]) * count for a in range(left_count)]))
-        for rows in map(memoryview, left._ticks)
-    )
-    right_lanes = tuple(pack(column.tobytes() * left_count) for column in right._ticks)
-    ticks = _checked(_combined(left_lanes, right_lanes, size * left_count * count, rule), left._valid and right._valid)
-    return _pairs(left.universe, left.parameters, right.parameters, ticks)
+    lefts, rights, source = left.parameters, right.parameters, (left._matrix(), right._matrix(), rule)
+    if left._valid and right._valid:
+        return _pairs(left.universe, lefts, rights, None, source)
+    ticks = _checked(_product_matrix(*source, len(lefts), len(rights), len(left.universe)), False)
+    return _pairs(left.universe, lefts, rights, ticks)
 
 
-def _pairs(universe: tuple, lefts: tuple, rights: tuple, ticks: Columns) -> SoftSet:
+def _pairs(universe: tuple, lefts: tuple, rights: tuple, ticks: Columns | None, source=None) -> SoftSet:
     """The valid soft set whose row ``a * len(rights) + b`` holds pair
     (``lefts[a]``, ``rights[b]``), indexed by labels made from the factors'.
 
-    Its compounds are built when read, unless two pairs share a label:
-    then all of them are built, and label_index words the refusal.
+    Its grades are ``ticks``, or, when that is None, ``rule`` over the rows
+    of two factor matrices, ``source = (left matrix, right matrix, rule)``,
+    computed when read (:meth:`SoftSet._matrix`).  Its compounds are built
+    when read, unless two pairs share a label: then all of them are built,
+    and label_index words the refusal.
     """
     count = len(lefts) * len(rights)
     right_labels = [b.label for b in rights]
     rows = dict(zip([f"({a.label}, {b})" for a in lefts for b in right_labels], range(count)))
     if len(rows) < count:
         label_index([CompoundParameter(a, b) for a in lefts for b in rights])
-    return SoftSet._of(universe, [None] * count, rows, ticks, True, (lefts, rights))
+    return SoftSet._of(universe, [None] * count, rows, ticks, True, (lefts, rights), source)
 
 
 def and_op(left: SoftSet, right: SoftSet) -> SoftSet:

@@ -1,18 +1,25 @@
-"""AND/OR products build their compound parameters only when read.
+"""AND/OR products build their compound parameters and grades only when read.
 
 A product keeps its two factor tuples and an index from label to row, and
 builds a row's ``CompoundParameter`` the first time something reads that
-row; its complement negates the factors and builds no compound at all.
-These tests hold every observable result of a product, in whatever order
-it is read, to the same set built eagerly through the ``SoftSet``
-constructor from the oracle's own dict-of-tuples products, and count the
-compounds a product builds.
+row; its complement negates the factors and builds no compound at all.  A
+product of valid sets keeps its operands' tick matrices and its rule, and
+runs the full-product kernel when its matrix is first read; a restriction
+to few rows computes only those rows, and its complement is the product of
+the swapped factor matrices under the dual rule.  These tests hold every
+observable result of a product, in whatever order it is read, to the same
+set built eagerly through the ``SoftSet`` constructor from the oracle's own
+dict-of-tuples products, and count the compounds and kernel runs a product
+makes.
 """
 
 import copy
 import pickle
+import sys
+import threading
 
 import pytest
+from helpers import EXTRA_FRAMES, beneath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,17 +27,26 @@ from inss import (
     CompoundParameter,
     ConstraintViolation,
     DuplicateParameter,
+    EmptyUniverse,
     Grade,
     GradeTriple,
+    InssError,
     Parameter,
     SoftSet,
     and_op,
     canonicalize,
     complement,
+    equals,
+    intersection,
+    is_null,
+    is_subset,
     or_op,
     select_best,
     serialize_soft_set,
+    union,
 )
+from inss import algebra
+from inss.algebra import tick_rows
 from inss.oracle import _join_cells, _meet_cells, _raw, _raw_complement, _raw_product
 
 UNIVERSE = ("x", "y")
@@ -200,3 +216,236 @@ def test_a_complement_of_a_product_builds_no_compound_until_a_row_is_read(built)
     assert built[0] == 1
     assert found == CompoundParameter(Parameter("q", True), Parameter("s", True))
     assert complement(negated) == product
+
+
+# --- grades computed when read ------------------------------------------------
+
+
+def varied(names, universe=UNIVERSE, shift=0):
+    """A valid soft set over ``universe`` whose cells run through CELLS."""
+    params = [Parameter(name) for name in names]
+    family = {
+        p: {e: GradeTriple(*map(Grade, CELLS[(j * len(universe) + k + shift) % len(CELLS)]))
+            for k, e in enumerate(universe)}
+        for j, p in enumerate(params)
+    }
+    return SoftSet(universe, params, family)
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """The number of full-product kernel runs so far, as a one-item list."""
+    count = [0]
+    full = algebra._product_matrix
+
+    def counting(*args):
+        count[0] += 1
+        return full(*args)
+
+    monkeypatch.setattr(algebra, "_product_matrix", counting)
+    return count
+
+
+@pytest.mark.parametrize("op", [and_op, or_op])
+def test_a_decision_over_a_product_runs_no_full_kernel(kernels, op):
+    left, right = varied([f"p{k}" for k in range(6)]), varied([f"q{k}" for k in range(8)], shift=2)
+    product, eager_product = op(left, right), (eager_and if op is and_op else eager_or)(left, right)
+    for labels in ([f"(p{k % 6}, q{k % 8})" for k in range(0, 35, 7)], ["(p5, q0)", "(p0, q7)", "(p3, q3)"]):
+        assert select_best(product, labels).to_dict() == select_best(eager_product, labels).to_dict()
+    chosen = product.parameters[::3]
+    assert product.restrict(chosen) == eager_product.restrict(chosen)
+    assert kernels[0] == 0
+    assert select_best(product).to_dict() == select_best(eager_product).to_dict()  # every row: the whole matrix
+    assert kernels[0] == 1
+
+
+FIRST_READS = {
+    "value_set": lambda s: dict(s.value_set(s.parameters[-1])),
+    "family": lambda s: dict(s.family[s.parameters[0]]),
+    "triple": lambda s: s.triple(s.parameters[1], "y"),
+    "==": lambda s: s == s,
+    "serialize_soft_set": serialize_soft_set,
+    "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+    "deepcopy": copy.deepcopy,
+    "tick_rows": lambda s: list(tick_rows(s)),
+    "and_op operand": lambda s: and_op(s, varied(["r"])),
+    "or_op operand": lambda s: or_op(varied(["r"]), s),
+    "union": lambda s: union(s, varied(["r"])),
+    "intersection": lambda s: intersection(s, s),
+    "is_subset": lambda s: is_subset(s, s),
+    "is_null": is_null,
+    "restrict to most rows": lambda s: s.restrict(s.parameters[1:]),
+    "select_best over every row": select_best,
+}
+
+
+@pytest.mark.parametrize("read", FIRST_READS.values(), ids=FIRST_READS)
+@pytest.mark.parametrize("op", [and_op, or_op])
+def test_each_full_read_runs_the_kernel_once(kernels, op, read):
+    product = op(varied(["a", "b"]), varied(["c", "d", "e"], shift=1))
+    expected = (eager_and if op is and_op else eager_or)(varied(["a", "b"]), varied(["c", "d", "e"], shift=1))
+    read(product)
+    assert kernels[0] == 1
+    read(product)
+    assert kernels[0] == 1
+    assert product == expected and kernels[0] == 1
+
+
+@pytest.mark.parametrize("op", [and_op, or_op])
+def test_the_complement_of_an_unread_product_is_unread(kernels, op):
+    left, right = varied(["a", "not b", "b, c"]), varied(["c", "a, b"], shift=3)
+    built = (eager_and if op is and_op else eager_or)(left, right)
+    negated, twice = complement(op(left, right)), complement(complement(op(left, right)))
+    assert kernels[0] == 0
+    pairs = ((negated, eager_complement(built)), (twice, eager_complement(eager_complement(built))))
+    for reads, (lazy, expected) in enumerate(pairs):
+        small = lazy.parameters[::4]
+        assert lazy.restrict(small) == expected.restrict(small) and kernels[0] == reads
+        for p in expected.parameters:
+            for e in UNIVERSE:
+                assert lazy.triple(p, e) == expected.triple(p, e)
+    assert kernels[0] == 2
+    assert complement(negated) == built and kernels[0] == 2  # read already: swaps the kept matrix
+
+
+def restricted(soft_set, choice):
+    """``soft_set.restrict(choice)``, or the class and text of what it raised."""
+    try:
+        return soft_set.restrict(choice)
+    except (InssError, TypeError) as err:
+        return (type(err), str(err))
+
+
+def decided(soft_set, labels):
+    """``select_best(soft_set, labels)`` as a dict, or the class and text of what it raised."""
+    try:
+        return select_best(soft_set, labels).to_dict()
+    except InssError as err:
+        return (type(err), str(err))
+
+
+STRANGERS = [Parameter("zz"), CompoundParameter(Parameter("a"), Parameter("zz")), Parameter("a, b")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=operands(), b=operands(), negate=st.booleans(), op=st.sampled_from([and_op, or_op]), data=st.data())
+def test_restricting_an_unread_product_gives_what_reading_it_first_gives(a, b, negate, op, data):
+    def fresh():
+        product = op(a, b)
+        return complement(product) if negate else product
+
+    try:
+        params = list(fresh().parameters)
+    except DuplicateParameter:
+        return
+    # Rows of the product and parameters it lacks, repeats allowed, up to more than it has.
+    choice = data.draw(st.lists(st.sampled_from(params + STRANGERS), max_size=len(params) + 2))
+    read = fresh()
+    read.family
+    assert restricted(fresh(), choice) == restricted(read, choice)
+    labels = [p.label for p in choice] + data.draw(st.lists(st.sampled_from(["zz", "(a, zz)", "a"]), max_size=1))
+    assert decided(fresh(), labels) == decided(read, labels)
+
+
+def test_an_unchecked_operand_with_a_bad_cell_still_raises_from_the_product(kernels):
+    bad = GradeTriple.unchecked(Grade(6000), Grade(0), Grade(7000))
+    # Cells that keep (0.6, 0, 0.7) under each rule, so the product holds a bad cell too.
+    for op, cell in ((and_op, (10000, 0, 0)), (or_op, (0, 1000, 10000))):
+        c = Parameter("c")
+        good = SoftSet(UNIVERSE, [c], {c: {e: GradeTriple(*map(Grade, cell)) for e in UNIVERSE}})
+        for first in UNIVERSE:
+            params = [Parameter("a"), Parameter("b")]
+            cells = {p: {e: good.triple(c, e) for e in UNIVERSE} for p in params}
+            cells[params[1]][first] = bad
+            unchecked = SoftSet(UNIVERSE, params, cells)
+            for left, right in ((unchecked, good), (good, unchecked)):
+                with pytest.raises(ConstraintViolation, match=r"^min\(truth, falsity\) = 0\.6 exceeds 0\.5$"):
+                    op(left, right)
+    assert kernels[0] == 8  # each one computed and checked when made
+
+
+@pytest.mark.parametrize("depth", [1000, 5000])
+def test_chains_of_products_read_without_recursion(kernels, depth):
+    leaf, other = varied(["a"], universe=("x",)), varied(["b"], universe=("x",), shift=1)
+
+    def chain():
+        s = leaf
+        for level in range(depth):
+            s = (or_op if level % 2 else and_op)(s, other)
+        return s
+
+    cell = tuple(grade.ten_thousandths for grade in leaf.triple(Parameter("a"), "x").components())
+    for level in range(depth):  # the same chain, one triple at a time
+        rule = (max, min, min) if level % 2 else (min, min, max)
+        cell = tuple(pick(ours, theirs) for pick, ours, theirs in zip(rule, cell, CELLS[1]))
+
+    def check(s):
+        top = s.parameters[0]
+        assert kernels[0] == depth - 1  # each level read its operand, the last level is unread
+        negated = complement(s)
+        assert negated.triple(negated.parameters[0], "x").components()[::-1] == s.triple(top, "x").components()
+        assert s.triple(top, "x") == GradeTriple(*map(Grade, cell)) and kernels[0] == depth + 1
+        assert select_best(s, [top.label]).best == "x" and not is_null(s)
+
+    beneath(EXTRA_FRAMES, check, beneath(EXTRA_FRAMES, chain))
+
+
+@pytest.mark.parametrize("op", [and_op, or_op])
+def test_empty_universes_and_parameterless_operands(op):
+    empty = ()
+    for left, right in (
+        (varied(["a", "b"], universe=empty), varied(["c"], universe=empty)),
+        (varied([]), varied(["c", "d"])),
+        (varied(["a"]), varied([])),
+    ):
+        universe = left.universe
+        product, negated = op(left, right), complement(op(left, right))
+        rows = len(left.parameters) * len(right.parameters)
+        expected = SoftSet(
+            universe,
+            [CompoundParameter(p, q) for p in left.parameters for q in right.parameters],
+            {CompoundParameter(p, q): dict(op(left, right).value_set(CompoundParameter(p, q)))
+             for p in left.parameters for q in right.parameters},
+        )
+        assert repr(product) == f"SoftSet({len(universe)} elements, {rows} parameters)"
+        assert op(left, right).restrict(expected.parameters[:1]) == expected.restrict(expected.parameters[:1])
+        assert op(left, right).restrict([]) == expected.restrict([])
+        assert product == expected and equals(product, expected)
+        assert complement(negated) == expected and serialize_soft_set(negated) == serialize_soft_set(
+            complement(expected)
+        )
+        if rows and not universe:
+            with pytest.raises(EmptyUniverse):
+                select_best(op(left, right), [expected.parameters[0].label])
+
+
+def test_threads_reading_one_unread_product_all_see_its_grades():
+    # More threads than cores, switching often, all making the first read of the same products.
+    left, right = varied([f"p{k}" for k in range(6)]), varied([f"q{k}" for k in range(8)], shift=2)
+    expected = eager_and(left, right)
+    chosen = list(expected.parameters[::5])
+    reads = [
+        lambda s: s.restrict(chosen) == expected.restrict(chosen),
+        lambda s: s == expected,
+        lambda s: dict(s.value_set(chosen[-1])) == dict(expected.value_set(chosen[-1])),
+        lambda s: complement(s) == eager_complement(expected),
+        lambda s: s.triple(chosen[1], "y") == expected.triple(chosen[1], "y"),
+    ]
+    products = [and_op(left, right) for _ in range(150)]
+    results, switch = [], sys.getswitchinterval()
+
+    def work(k):
+        for product in products:
+            results.append(reads[k % len(reads)](product))
+
+    workers = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(results) == 8 * len(products) and all(results)
