@@ -38,9 +38,10 @@ keeps the view.
 
 Parameters are small immutable objects compared by structure.  Each
 computes its label and hash once, at construction, from its children's.  A
-product keeps its two factor tuples and indexes its rows by labels made
-from theirs, and builds a row's compound parameter only when something
-reads that row; its complement negates the factors and builds none.
+product keeps its two factor tuples and each factor's label index, finds a
+row's label ``(X, Y)`` by looking X up on the left and Y on the right, and
+builds a row's compound parameter only when something reads that row; its
+complement negates the factors and builds none.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import itertools
 import re
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import suppress
 from os.path import commonprefix
 from types import MappingProxyType
 
@@ -366,8 +368,9 @@ class SoftSet:
     something first reads it, then keeps it, so each row hands out one
     object (threads racing on it may build equal ones, as above);
     :attr:`parameters` builds the rest in one pass and keeps them as a
-    tuple.  Every other soft set has ``_factors`` and ``_source`` None and a
-    tuple of parameters.
+    tuple.  Its ``_rows`` is instead its factors' two label indexes, each
+    factor's position by label, read by :meth:`_pair_row`.  Every other
+    soft set has ``_factors`` and ``_source`` None and a tuple of parameters.
 
     :meth:`_row` is the one lookup from a parameter to its row, for every
     method and operation that takes parameters; anything but a parameter
@@ -415,8 +418,9 @@ class SoftSet:
         ``ticks``, which it keeps without copying; ``rows`` is
         ``label_index(parameters)`` and ``valid`` says whether every cell is
         known to meet the joint bounds.  A product passes its factor tuples
-        as ``factors`` and a list of None as ``parameters``; an unread one
-        passes None as ``ticks`` and its ``source`` (see :func:`_pairs`)."""
+        as ``factors``, their label indexes as ``rows`` and a list of None
+        as ``parameters``; an unread one passes None as ``ticks`` and its
+        ``source`` (see :func:`_pairs`)."""
         self = cls.__new__(cls)
         self._set(universe, parameters, rows, ticks, valid, factors, source)
         return self
@@ -432,8 +436,11 @@ class SoftSet:
         self._positions = None
 
     def __reduce__(self) -> tuple:
-        # Copied and pickled with its matrix, never a source, and without ``_positions``.
-        return SoftSet._of, (self._universe, self._parameters, self._rows, self._matrix(), self._valid, self._factors)
+        # Copied and pickled with its matrix, never a source, and without ``_positions``;
+        # a product as its factors, so its indexes and compounds are built again.
+        if self._factors is not None:
+            return _pairs, (self._universe, *self._factors, self._matrix())
+        return SoftSet._of, (self._universe, self._parameters, self._rows, self._matrix(), self._valid)
 
     def _matrix(self) -> Columns:
         """The tick matrix; an unread product's is computed here on first read, then kept."""
@@ -463,11 +470,22 @@ class SoftSet:
             param = parameters[row] = CompoundParameter(lefts[left], rights[right])
         return param
 
+    def _pair_row(self, left: str, right: str) -> int | None:
+        """A product's row of the pair whose parts are labelled ``left`` and ``right``, or None."""
+        lefts, rights = self._rows
+        a, b = lefts.get(left), rights.get(right)
+        return None if a is None or b is None else a * len(rights) + b
+
     def _row(self, param: ParamLike) -> int | None:
         """The row holding ``param``'s value set, or None when the set lacks it."""
         if not isinstance(param, _Param):
             raise TypeError(f"not a parameter: {clipped(repr(param))}")
-        row = self._rows.get(param.label)
+        if self._factors is None:
+            row = self._rows.get(param.label)
+        elif isinstance(param, CompoundParameter):
+            row = self._pair_row(param.left.label, param.right.label)
+        else:
+            return None
         if row is None:
             return None
         known = self._param(row)
@@ -515,11 +533,22 @@ class SoftSet:
         return RowTriples(self._matrix(), start, positions)[element]
 
     def find_parameter(self, label: str) -> ParamLike:
-        """Look a parameter up by its display label."""
-        try:
-            return self._param(self._rows[label])
-        except (KeyError, TypeError):
-            raise UnknownParameter(f"unknown parameter '{clipped(str(label))}'") from None
+        """Look a parameter up by its display label.
+
+        A product splits ``(X, Y)`` at each ``", "`` in turn; no two pairs
+        share a label, so at most one split finds X on the left and Y on the
+        right."""
+        row = None
+        if self._factors is None:
+            with suppress(TypeError):  # an unhashable label
+                row = self._rows.get(label)
+        elif isinstance(label, str) and label[:1] == "(" and label[-1:] == ")":
+            at = label.find(", ", 1)
+            while row is None and at > 0:
+                row, at = self._pair_row(label[1:at], label[at + 2 : -1]), label.find(", ", at + 1)
+        if row is None:
+            raise UnknownParameter(f"unknown parameter '{clipped(str(label))}'")
+        return self._param(row)
 
     def restrict(self, parameters: Sequence[ParamLike]) -> "SoftSet":
         """The same universe, narrowed to the given parameters in the given order.
@@ -561,6 +590,14 @@ def tick_rows(soft_set: SoftSet) -> Iterator[tuple[list[int], list[int], list[in
     for row in range(len(soft_set._parameters)):
         start = row * size
         yield tuple(column[start : start + size].tolist() for column in ticks)
+
+
+def component_rows(soft_set: SoftSet) -> Iterator[Iterator[tuple[int, ...]]]:
+    """For truth, indeterminacy and falsity, each value set's ticks as a tuple, in parameter
+    order, cut from one list of the whole column; the universe must not be empty."""
+    size = len(soft_set.universe)
+    for column in soft_set._matrix():  # one column's list at a time
+        yield zip(*[iter(column.tolist())] * size)
 
 
 def _stacked(size: int, pieces: list[tuple[Columns, int]]) -> Columns:
@@ -741,15 +778,45 @@ def _product(left: SoftSet, right: SoftSet, rule) -> SoftSet:
     """
     _require_same_universe(left, right)
     lefts, rights, source = left.parameters, right.parameters, (left._matrix(), right._matrix(), rule)
+    # A set that is not a product indexes its own labels exactly as its factor index would.
+    indexes = [s._rows if s._factors is None else _positions(s.parameters) for s in (left, right)]
     if left._valid and right._valid:
-        return _pairs(left.universe, lefts, rights, None, source)
+        return _pairs(left.universe, lefts, rights, None, source, indexes)
     ticks = _checked(_product_matrix(*source, len(lefts), len(rights), len(left.universe)), False)
-    return _pairs(left.universe, lefts, rights, ticks)
+    return _pairs(left.universe, lefts, rights, ticks, None, indexes)
 
 
-def _pairs(universe: tuple, lefts: tuple, rights: tuple, ticks: Columns | None, source=None) -> SoftSet:
+def _positions(parameters: Sequence[ParamLike]) -> dict[str, int]:
+    """Each parameter's position by label, the last kept where labels repeat."""
+    return {param.label: k for k, param in enumerate(parameters)}
+
+
+def _shared_label(lefts: dict[str, int], rights: dict[str, int], left_count: int, right_count: int) -> bool:
+    """Whether two pairs of factors with these label indexes would share a label: only when a
+    label repeats on one side, or ``L + ", " + m`` and ``m + ", " + R`` are a left and a right
+    label for some left label L, right label R and text m."""
+    if (len(lefts) < left_count and right_count) or (len(rights) < right_count and left_count):
+        return True
+    splits, lengths, tails = [label for label in rights if ", " in label], set(map(len, lefts)), set()
+    for label in [label for label in lefts if ", " in label] if splits else ():
+        at = label.find(", ")
+        while at >= 0:
+            if at in lengths and label[:at] in lefts:
+                tails.add(label[at + 2 :])
+            at = label.find(", ", at + 1)
+    for label in splits if tails else ():
+        at = label.find(", ")
+        while at >= 0:
+            if label[:at] in tails and label[at + 2 :] in rights:
+                return True
+            at = label.find(", ", at + 1)
+    return False
+
+
+def _pairs(universe: tuple, lefts: tuple, rights: tuple, ticks: Columns | None, source=None, indexes=None):
     """The valid soft set whose row ``a * len(rights) + b`` holds pair
-    (``lefts[a]``, ``rights[b]``), indexed by labels made from the factors'.
+    (``lefts[a]``, ``rights[b]``), found through ``indexes``, the factors'
+    positions by label (built here when None).
 
     Its grades are ``ticks``, or, when that is None, ``rule`` over the rows
     of two factor matrices, ``source = (left matrix, right matrix, rule)``,
@@ -757,12 +824,11 @@ def _pairs(universe: tuple, lefts: tuple, rights: tuple, ticks: Columns | None, 
     when read, unless two pairs share a label: then all of them are built,
     and label_index words the refusal.
     """
-    count = len(lefts) * len(rights)
-    right_labels = [b.label for b in rights]
-    rows = dict(zip([f"({a.label}, {b})" for a in lefts for b in right_labels], range(count)))
-    if len(rows) < count:
+    ours, theirs = indexes or (_positions(lefts), _positions(rights))
+    if _shared_label(ours, theirs, len(lefts), len(rights)):
         label_index([CompoundParameter(a, b) for a in lefts for b in rights])
-    return SoftSet._of(universe, [None] * count, rows, ticks, True, (lefts, rights), source)
+    count = len(lefts) * len(rights)
+    return SoftSet._of(universe, [None] * count, (ours, theirs), ticks, True, (lefts, rights), source)
 
 
 def and_op(left: SoftSet, right: SoftSet) -> SoftSet:

@@ -10,9 +10,12 @@ how many it matches or beats in falsity (which counts against it):
 All three counts use >= against each other object, so ties count as wins.
 Row sums give the scores; the best object is the highest score, earliest
 universe position winning ties.  Per-column work is independent (columns
-could be computed in parallel); this implementation is sequential, reads the
-soft set's tick columns directly and sorts each one once.  The matrix keeps
-the win counts as they are computed, one tuple of ints per component and
+could be computed in parallel); this implementation is sequential.  It reads
+each component's rows of the soft set's tick matrix as tuples cut from one
+list (``algebra.component_rows``), sorts each row once and reads the row's
+win counts in one C call, an ``itemgetter`` over the row on a dict from
+each value to its last position in sorted order.  The matrix keeps the win
+counts as they are computed, one tuple of ints per component and
 parameter; CellAudit objects are built only when a caller reads
 ``ComparisonMatrix.audits``.
 """
@@ -20,8 +23,9 @@ parameter; CellAudit objects are built only when a caller reads
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import itemgetter
 
-from .algebra import ParamLike, SoftSet, tick_rows
+from .algebra import ParamLike, SoftSet, component_rows
 from .errors import EmptyParameterSet, EmptyUniverse, ReferenceMismatch, clipped
 from .grades import GradeTriple, Record
 
@@ -194,14 +198,16 @@ class ComparisonMatrix:
         )
 
 
-def _win_counts(column: list[int]) -> tuple[int, ...]:
+def _win_counts(column: tuple[int, ...]) -> tuple[int, ...]:
     """For each value, how many other values in the column are at or below it.
 
     Mapping each value to its last position in sorted order gives exactly
-    that count.
+    that count.  A column of one value has none to count (and ``itemgetter``
+    of one key would return a bare int).
     """
-    last = dict(zip(sorted(column), range(len(column))))
-    return tuple(map(last.__getitem__, column))
+    if len(column) == 1:
+        return (0,)
+    return itemgetter(*column)(dict(zip(sorted(column), range(len(column)))))
 
 
 def comparison_matrix(table: DecisionTable) -> ComparisonMatrix:
@@ -210,11 +216,8 @@ def comparison_matrix(table: DecisionTable) -> ComparisonMatrix:
     Each component column is sorted once; an object's win count is the
     number of values at or below its own, self excluded.
     """
-    per_component = ([], [], [])
-    for columns in tick_rows(table.soft_set):
-        for counts, column in zip(per_component, columns):
-            counts.append(_win_counts(column))
-    return ComparisonMatrix._of(table.objects, table.parameters, tuple(map(tuple, per_component)))
+    wins = tuple(tuple(map(_win_counts, rows)) for rows in component_rows(table.soft_set))
+    return ComparisonMatrix._of(table.objects, table.parameters, wins)
 
 
 class ScoreVector(Record):

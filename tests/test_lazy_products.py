@@ -1,8 +1,9 @@
 """AND/OR products build their compound parameters and grades only when read.
 
-A product keeps its two factor tuples and an index from label to row, and
-builds a row's ``CompoundParameter`` the first time something reads that
-row; its complement negates the factors and builds no compound at all.  A
+A product keeps its two factor tuples and each factor's label index, finds
+a row's label by splitting it between the two, and builds a row's
+``CompoundParameter`` the first time something reads that row; its
+complement negates the factors and builds no compound at all.  A
 product of valid sets keeps its operands' tick matrices and its rule, and
 runs the full-product kernel when its matrix is first read; a restriction
 to few rows computes only those rows, and its complement is the product of
@@ -17,6 +18,7 @@ import copy
 import pickle
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from helpers import EXTRA_FRAMES, beneath
@@ -33,6 +35,7 @@ from inss import (
     InssError,
     Parameter,
     SoftSet,
+    UnknownParameter,
     and_op,
     canonicalize,
     complement,
@@ -50,8 +53,9 @@ from inss.algebra import tick_rows
 from inss.oracle import _join_cells, _meet_cells, _raw, _raw_complement, _raw_product
 
 UNIVERSE = ("x", "y")
-# Names that look like labels, so that pairs of different parameters share one.
-NAMES = ("a", "b", "c", "a, b", "b, c", "not a", "not b")
+# Names that look like labels, so that pairs of different parameters share one, and
+# names that open or close a parenthesis, so that a label splits at every ", ".
+NAMES = ("a", "b", "c", "a, b", "b, c", "not a", "not b", "(a", "b)", "(a, b)")
 CELLS = ((0, 0, 0), (3000, 2000, 4000), (5000, 5000, 5000), (10000, 0, 0), (0, 1000, 10000))
 
 
@@ -157,6 +161,92 @@ def test_a_lazy_product_reads_as_the_same_set_built_eagerly(a, b, c, case):
     chosen = labels[::2]
     assert select_best(fresh(), chosen).to_dict() == select_best(expected, chosen).to_dict()
     assert select_best(fresh()).to_dict() == select_best(expected).to_dict()
+
+
+def found(soft_set, label):
+    """``soft_set.find_parameter(label)``, or the class and text of what it raised."""
+    try:
+        return soft_set.find_parameter(label)
+    except UnknownParameter as err:
+        return (type(err), str(err))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=operands(), b=operands(), negate=st.booleans(), op=st.sampled_from([and_op, or_op]))
+def test_an_unread_product_finds_a_label_where_an_eager_label_index_does(a, b, negate, op):
+    def fresh():
+        product = op(a, b)
+        return complement(product) if negate else product
+
+    built = eager_and if op is and_op else eager_or
+    expected = outcome(lambda: eager_complement(built(a, b)) if negate else built(a, b))
+    if isinstance(expected, tuple):  # two pairs share a label: the same refusal, word for word
+        assert outcome(fresh) == expected
+        return
+    for param in expected.parameters:
+        label = param.label
+        assert found(fresh(), label) == param
+        assert fresh().has_parameter(param) and dict(fresh().value_set(param)) == dict(expected.value_set(param))
+        assert fresh().restrict([param]) == expected.restrict([param])
+        # Near misses: cut short, unwrapped, a parenthesis swapped, wrapped twice, a comma unspaced;
+        # then a plain parameter so named.
+        for near in (label[:-1], label[1:-1], f"[{label[1:]}", f"{label[:-1]}]", f"({label})",
+                     label.replace(", ", ",")):
+            assert found(fresh(), near) == found(expected, near)
+        assert not fresh().has_parameter(Parameter(label))
+        with pytest.raises(UnknownParameter):
+            fresh().value_set(Parameter(label))
+    for stranger in (None, 5, ("a", "b"), [expected.parameters[0].label], b"(a, b)", expected.parameters[0]):
+        assert found(fresh(), stranger) == found(expected, stranger)
+        assert found(fresh(), stranger)[0] is UnknownParameter
+
+
+# Factors whose pairs would share a label: two left labels apart by ", m" against two right
+# labels apart by "m, " (m empty too), or a label that repeats on one side once complement
+# negates the factors ("not b" negated is "b"-named and negated, "b" negated is "not b").
+CLASHES = [
+    ([("a, b", False), ("a", False)], [("c", False), ("b, c", False)], False),
+    ([("a", False), ("a, ", False)], [(", b", False), ("b", False)], False),
+    ([("not b", True), ("b", False)], [("c", False)], True),
+    ([("c", False)], [("b", False), ("not b", True)], True),
+]
+
+
+@pytest.mark.parametrize("left, right, negate", CLASHES)
+@pytest.mark.parametrize("op", [and_op, or_op])
+def test_pairs_that_would_share_a_label_are_refused_as_an_eager_build_is(op, left, right, negate):
+    def over(specs):
+        params = [Parameter(*spec) for spec in specs]
+        return SoftSet(UNIVERSE, params, {p: {e: GradeTriple(*map(Grade, CELLS[1])) for e in UNIVERSE} for p in params})
+
+    a, b = over(left), over(right)
+    built = eager_and if op is and_op else eager_or
+    expected = outcome(lambda: eager_complement(built(a, b)) if negate else built(a, b))
+    assert isinstance(expected, tuple) and expected[0] is DuplicateParameter
+    assert outcome(lambda: complement(op(a, b)) if negate else op(a, b)) == expected
+
+
+def test_labels_that_only_nearly_clash_build_no_compound(built):
+    # "a" + ", c" is a left label and "c, " starts a right one, but "d" is no right label.
+    for left, right in ((["a", "a, c"], ["c, d"]), (["a", "a, c"], ["c, d", "e"]), (["x, y"], ["y, z", "z"])):
+        product = and_op(operand(left), operand(right))
+        assert complement(product).find_parameter(f"(not {left[-1]}, not {right[0]})")
+        assert built[0] == 1
+        built[0] = 0
+
+
+def test_an_unread_product_holds_no_label_per_pair():
+    left, right = varied([f"p{k:02d}" for k in range(40)]), varied([f"q{k:02d}" for k in range(40)], shift=1)
+    and_op(left, right)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        product = and_op(left, right)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 32 * 1024, held
+    assert product.find_parameter("(p39, q00)") == CompoundParameter(Parameter("p39"), Parameter("q00"))
 
 
 def test_an_invalid_cell_is_refused_before_a_shared_label():
