@@ -1,11 +1,14 @@
 """Command line front end.
 
 Every subcommand reads soft-set documents (see docs/format.md), applies one
-library operation and writes the result.  Set operations emit a canonical
-document (stdout, or ``--out FILE``); ``decide`` prints a human-readable
-report.  Exit codes: 0 success, 1 domain error (bad grades, mismatched
-universes, unknown parameters), 2 usage error (bad arguments, unreadable
-files).
+library operation and writes the result.  ``_COMMANDS`` is the table of them
+all but ``decide``: one row per command gives its name, help text, operands,
+the name of its operation in this module and its output, which is a
+canonical document (stdout, or ``--out FILE``), ``true``/``false`` or text.
+One handler runs every row; ``decide`` keeps its own options and prints a
+human-readable report.  Exit codes: 0 success, 1 domain error (bad grades,
+mismatched universes, unknown parameters), 2 usage error (bad arguments,
+unreadable files, output the terminal cannot encode).
 """
 
 from __future__ import annotations
@@ -52,41 +55,34 @@ def split_parameter_list(text: str) -> list[str]:
     return [part for part in parts if part]
 
 
-def _emit(soft_set: SoftSet, out: str | None) -> None:
-    text = serialize_soft_set(soft_set)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+def _size(soft_set: SoftSet) -> str:
+    return f"ok: {len(soft_set.universe)} elements, {len(soft_set.parameters)} parameters"
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    soft_set = load_soft_set(args.file)
-    print(f"ok: {len(soft_set.universe)} elements, {len(soft_set.parameters)} parameters")
-    return 0
+# (name, help text, operands, operation's name in this module, output: "document", "verdict" or "text")
+_COMMANDS = (
+    ("validate", "Check a document and report its size.", ("file",), "_size", "text"),
+    ("show", "Render a document as a fixed-width table.", ("file",), "render_table", "text"),
+    ("complement", "Negate parameters and swap truth with falsity.", ("file",), "complement", "document"),
+    ("union", "Join two soft sets (max/min/min on shared parameters).", ("left", "right"), "union", "document"),
+    ("intersect", "Meet two soft sets on their shared parameters.", ("left", "right"), "intersection", "document"),
+    ("and", "All parameter pairs, graded by the meet rule.", ("left", "right"), "and_op", "document"),
+    ("or", "All parameter pairs, graded by the join rule.", ("left", "right"), "or_op", "document"),
+    ("subset", "Print true when the first set is contained in the second.", ("left", "right"), "is_subset", "verdict"),
+    ("equals", "Print true when both sets carry identical grades.", ("left", "right"), "equals", "verdict"),
+)
 
 
-def _cmd_show(args: argparse.Namespace) -> int:
-    print(render_table(load_soft_set(args.file)))
-    return 0
-
-
-def _cmd_complement(args: argparse.Namespace) -> int:
-    _emit(complement(load_soft_set(args.file)), args.out)
-    return 0
-
-
-def _binary(op: str) -> Callable[[argparse.Namespace], int]:
+def _handler(op: str, operands: tuple[str, ...], output: str) -> Callable[[argparse.Namespace], int]:
     def handler(args: argparse.Namespace) -> int:
-        _emit(globals()[op](load_soft_set(args.left), load_soft_set(args.right)), args.out)
-        return 0
-
-    return handler
-
-
-def _predicate(op: str) -> Callable[[argparse.Namespace], int]:
-    def handler(args: argparse.Namespace) -> int:
-        print("true" if globals()[op](load_soft_set(args.left), load_soft_set(args.right)) else "false")
+        # Looked up per call, so a name rebound on this module is the one run.
+        result = globals()[op](*[load_soft_set(getattr(args, name)) for name in operands])
+        if output != "document":
+            print(result if output == "text" else ("true" if result else "false"))
+        elif args.out is None:
+            sys.stdout.write(serialize_soft_set(result))
+        else:
+            Path(args.out).write_text(serialize_soft_set(result), encoding="utf-8")
         return 0
 
     return handler
@@ -142,9 +138,7 @@ def _decision_report(report: SelectionReport, audit: bool) -> str:
 def _cmd_decide(args: argparse.Namespace) -> int:
     soft_set = load_soft_set(args.file)
     choice = None if args.params is None else split_parameter_list(args.params)
-    reference = (
-        load_reference_matrix(args.reference_matrix) if args.reference_matrix else None
-    )
+    reference = None if args.reference_matrix is None else load_reference_matrix(args.reference_matrix)
     report = select_best(soft_set, choice, reference)
     if args.audit:
         from .oracle import oracle_matrix  # only --audit needs the oracle
@@ -166,41 +160,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         return sub.add_parser(name, help=help_text, description=help_text)
 
-    p = add("validate", "Check a document and report its size.")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = add("show", "Render a document as a fixed-width table.")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_show)
-
-    p = add("complement", "Negate parameters and swap truth with falsity.")
-    p.add_argument("file")
-    p.add_argument("-o", "--out", help="write the result document here instead of stdout")
-    p.set_defaults(handler=_cmd_complement)
-
-    binary_ops = [
-        ("union", "Join two soft sets (max/min/min on shared parameters).", "union"),
-        ("intersect", "Meet two soft sets on their shared parameters.", "intersection"),
-        ("and", "All parameter pairs, graded by the meet rule.", "and_op"),
-        ("or", "All parameter pairs, graded by the join rule.", "or_op"),
-    ]
-    for name, help_text, op in binary_ops:
+    for name, help_text, operands, op, output in _COMMANDS:
         p = add(name, help_text)
-        p.add_argument("left")
-        p.add_argument("right")
-        p.add_argument("-o", "--out", help="write the result document here instead of stdout")
-        p.set_defaults(handler=_binary(op))
-
-    p = add("subset", "Print true when the first set is contained in the second.")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_predicate("is_subset"))
-
-    p = add("equals", "Print true when both sets carry identical grades.")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_predicate("equals"))
+        for operand in operands:
+            p.add_argument(operand)
+        if output == "document":
+            p.add_argument("-o", "--out", help="write the result document here instead of stdout")
+        p.set_defaults(handler=_handler(op, operands, output))
 
     p = add("decide", "Rank the universe by comparison-matrix scores and pick the best.")
     p.add_argument("file")
@@ -225,6 +191,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InssError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    except OSError as err:
+    except (OSError, UnicodeEncodeError) as err:  # unreadable input, unwritable output
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -317,6 +318,11 @@ class TestDecide:
         assert code == 0
         assert "Selected: x (tied at top score)" in out
 
+    def test_empty_reference_path_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "decide", fixture("shopping.json"), "--reference-matrix", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_misaligned_reference_fails_cleanly(self, capsys, tmp_path):
         path = tmp_path / "ref.json"
         path.write_text(
@@ -394,12 +400,20 @@ class TestParserReuse:
             ("or", "or_op"),
             ("subset", "is_subset"),
             ("equals", "equals"),
+            ("complement", "complement"),
+            ("show", "render_table"),
+            ("validate", "load_soft_set"),
+            ("union", "load_soft_set"),
+            ("complement", "serialize_soft_set"),
+            ("and", "serialize_soft_set"),
         ],
     )
     def test_operations_are_looked_up_per_call(self, capsys, monkeypatch, command, name):
         """A name rebound on ``inss.cli`` after the parser exists is the one called."""
-        left, right = fixture("qualities_a.json"), fixture("qualities_b.json")
-        first = run(capsys, command, left, right)
+        operands = [fixture("qualities_a.json"), fixture("qualities_b.json")]
+        if command in ("complement", "show", "validate"):
+            operands = operands[:1]
+        first = run(capsys, command, *operands)
         original, calls = getattr(inss.cli, name), []
 
         def wrapper(*args):
@@ -407,8 +421,42 @@ class TestParserReuse:
             return original(*args)
 
         monkeypatch.setattr(inss.cli, name, wrapper)
-        assert run(capsys, command, left, right) == first
-        assert calls == [name]
+        assert run(capsys, command, *operands) == first
+        assert calls == [name] * (len(operands) if name == "load_soft_set" else 1)
+
+
+class TestArguments:
+    """Each command's operands, and which commands write a document to ``-o/--out``."""
+
+    OPERANDS = {
+        "validate": 1, "show": 1, "complement": 1, "decide": 1,
+        "union": 2, "intersect": 2, "and": 2, "or": 2, "subset": 2, "equals": 2,
+    }
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("command", sorted(OPERANDS))
+    def test_one_operand_too_few_or_too_many(self, capsys, command, extra):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *[str(fixture("qualities_a.json"))] * (self.OPERANDS[command] + extra)])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["-o", "--out"])
+    @pytest.mark.parametrize("command", ["complement", "union", "intersect", "and", "or"])
+    def test_document_commands_accept_out(self, capsys, tmp_path, command, flag):
+        operands = [fixture("qualities_a.json"), fixture("qualities_b.json")][: self.OPERANDS[command]]
+        code, expected, _ = run(capsys, command, *operands)
+        target = tmp_path / "out.json"
+        assert run(capsys, command, *operands, flag, target) == (code, "", "")
+        assert target.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("command", ["validate", "show", "subset", "equals", "decide"])
+    def test_other_commands_refuse_out(self, capsys, tmp_path, command):
+        target = tmp_path / "out.json"
+        operands = [str(fixture("qualities_a.json"))] * self.OPERANDS[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *operands, "-o", str(target)])
+        assert excinfo.value.code == 2
+        assert not target.exists()
 
 
 # What ``import inss`` exported when the package listed its names by hand.
@@ -459,6 +507,25 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == "ok: 5 elements, 5 parameters\n"
+
+    @pytest.mark.parametrize("command", ["show", "decide"])
+    def test_output_the_terminal_cannot_encode_is_an_output_error(self, tmp_path, command):
+        doc = {
+            "format_version": 1,
+            "universe": ["x"],
+            "parameters": [{"name": "h\u00e9llo", "negated": False}],
+            "grades": {"h\u00e9llo": {"x": ["0.5", "0.2", "0.3"]}},
+        }
+        path = tmp_path / "accent.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "inss", command, str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONIOENCODING": "ascii"},
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
     def test_python_dash_m_error_path(self):
         result = subprocess.run(
