@@ -20,21 +20,21 @@ packs whole columns into ints and works on all their cells at once with the
 lane kernels of :mod:`inss.grades`: complement swaps the truth and falsity
 columns; union, intersection and is_subset gather the shared rows of each
 side and make one kernel call.  A product of valid sets computes its grades
-when they are read: it keeps its operands' two matrices and its rule, so an
-unread product holds P + Q factor rows, not P·Q rows.  The first read of
-the whole matrix (:meth:`SoftSet._matrix`) runs the full-product kernel
-once and keeps its result as the matrix as it stands; a restriction to at
-most half the rows gathers only the chosen rows' factor rows and makes one
-kernel call; complement swaps the factor matrices and the rule.  Matrices
-are never changed once built, so soft sets share them freely.  A soft set
-also records whether its cells are known to be valid: a result computed
-from valid sets is valid without a check, and any other result is checked
-in bulk, raising ConstraintViolation for its first bad cell in row order.
-The matrix is the only store of grades: a soft set holds no GradeTriple
-and no view.  A value set (``InsSet``) is a function of its row, so each
-read of one makes a new view of the row, which builds an element's triple
-when that element is first read and keeps it for as long as the caller
-keeps the view.
+when they are read: its ``_ticks`` holds a source, its operands' two
+matrices and its rule, so an unread product holds P + Q factor rows, not P·Q
+rows.  The first read of the whole matrix (:meth:`SoftSet._matrix`) runs the
+full-product kernel once and stores the result in the source's place; a
+restriction to at most half the rows gathers only the chosen rows' factor
+rows and makes one kernel call; complement swaps the factor matrices and the
+rule.  Matrices are never changed once built, so soft sets share them
+freely.  A soft set also records whether its cells are known to be valid: a
+result computed from valid sets is valid without a check, and any other
+result is checked in bulk, raising ConstraintViolation for its first bad
+cell in row order.  The matrix is the only store of grades: a soft set
+holds no GradeTriple and no view.  A value set (``InsSet``) is a function
+of its row, so each read of one makes a new view of the row, which builds
+an element's triple when that element is first read and keeps it for as
+long as the caller keeps the view.
 
 Parameters are small immutable objects compared by structure.  Each
 computes its label and hash once, at construction, from its children's.  A
@@ -343,13 +343,13 @@ class SoftSet:
     other modules read them through :func:`tick_rows`.
 
     Every reader of the matrix goes through :meth:`_matrix`.  An unread
-    product has ``_ticks`` None and a ``_source`` of its two factor matrices
-    and its rule; the first ``_matrix()`` call runs the full-product kernel,
-    keeps the result in ``_ticks`` and only then drops ``_source``, so no
-    state has neither.  Two threads reading an unread product at once may
-    each compute an equal matrix; either one is kept.  :meth:`restrict`
-    reads ``_source`` once and, while it is there, computes a choice of at
-    most half the rows from their factor rows alone.
+    product's ``_ticks`` is a :class:`_Source` of its two factor matrices
+    and its rule; the first ``_matrix()`` call runs the full-product kernel
+    and stores the result in ``_ticks`` in its place.  Two threads reading
+    an unread product at once may each compute an equal matrix; either one
+    is kept.  :meth:`restrict` reads ``_ticks`` once and, while it is a
+    source, computes a choice of at most half the rows from their factor
+    rows alone.
 
     The set holds no GradeTriple and no view.  :meth:`value_set` and
     :attr:`family` make a new view of a row on each call (see
@@ -370,7 +370,7 @@ class SoftSet:
     :attr:`parameters` builds the rest in one pass and keeps them as a
     tuple.  Its ``_rows`` is instead its factors' two label indexes, each
     factor's position by label, read by :meth:`_pair_row`.  Every other
-    soft set has ``_factors`` and ``_source`` None and a tuple of parameters.
+    soft set has ``_factors`` None and a tuple of parameters.
 
     :meth:`_row` is the one lookup from a parameter to its row, for every
     method and operation that takes parameters; anything but a parameter
@@ -378,7 +378,7 @@ class SoftSet:
     :meth:`find_parameter` (or ``decision.select_best``, which calls it).
     """
 
-    __slots__ = ("_universe", "_parameters", "_rows", "_ticks", "_valid", "_factors", "_source", "_positions")
+    __slots__ = ("_universe", "_parameters", "_rows", "_ticks", "_valid", "_factors", "_positions")
 
     def __init__(
         self,
@@ -411,28 +411,25 @@ class SoftSet:
         self._set(universe, parameters, rows, ticks, first_violation(*ticks) is None)
 
     @classmethod
-    def _of(
-        cls, universe: tuple, parameters, rows: dict[str, int], ticks, valid: bool, factors=None, source=None
-    ) -> "SoftSet":
+    def _of(cls, universe: tuple, parameters, rows: dict[str, int], ticks, valid: bool, factors=None) -> "SoftSet":
         """A soft set over a checked ``universe`` holding the tick matrix
         ``ticks``, which it keeps without copying; ``rows`` is
         ``label_index(parameters)`` and ``valid`` says whether every cell is
         known to meet the joint bounds.  A product passes its factor tuples
         as ``factors``, their label indexes as ``rows`` and a list of None
-        as ``parameters``; an unread one passes None as ``ticks`` and its
-        ``source`` (see :func:`_pairs`)."""
+        as ``parameters``; an unread one passes a :class:`_Source` as
+        ``ticks`` (see :func:`_pairs`)."""
         self = cls.__new__(cls)
-        self._set(universe, parameters, rows, ticks, valid, factors, source)
+        self._set(universe, parameters, rows, ticks, valid, factors)
         return self
 
-    def _set(self, universe, parameters, rows, ticks, valid, factors=None, source=None) -> None:
+    def _set(self, universe, parameters, rows, ticks, valid, factors=None) -> None:
         self._universe = universe
         self._parameters = parameters
         self._rows = rows
         self._ticks = ticks
         self._valid = valid
         self._factors = factors
-        self._source = source
         self._positions = None
 
     def __reduce__(self) -> tuple:
@@ -443,15 +440,11 @@ class SoftSet:
         return SoftSet._of, (self._universe, self._parameters, self._rows, self._matrix(), self._valid)
 
     def _matrix(self) -> Columns:
-        """The tick matrix; an unread product's is computed here on first read, then kept."""
+        """The tick matrix; an unread product's is computed from its source on first read, then kept."""
         ticks = self._ticks
-        if ticks is None:
-            source = self._source
-            if source is None:  # another thread has just computed and kept it
-                return self._ticks
+        if ticks.__class__ is _Source:
             lefts, rights = self._factors
-            ticks = self._ticks = _product_matrix(*source, len(lefts), len(rights), len(self._universe))
-            self._source = None
+            ticks = self._ticks = _product_matrix(*ticks, len(lefts), len(rights), len(self._universe))
         return ticks
 
     def _element_positions(self) -> dict[str, int]:
@@ -523,7 +516,7 @@ class SoftSet:
     def _view(self, row: int) -> InsSet:
         """A new view of ``row``."""
         ticks, positions = self._ticks, self._positions
-        if ticks is None or positions is None:  # called once per row by a caller reading them all
+        if ticks.__class__ is _Source or positions is None:  # called once per row by a caller reading them all
             ticks, positions = self._matrix(), self._element_positions()
         return InsSet._of(self._universe, RowTriples(ticks, row * len(self._universe), positions))
 
@@ -558,9 +551,9 @@ class SoftSet:
         costs more than computing them all at once beyond that."""
         parameters = tuple(parameters)
         rows, size = [self._known_row(param) for param in parameters], len(self._universe)
-        source = self._source
-        if source is not None and 2 * len(rows) <= len(self._parameters):
-            lefts, rights, rule = source
+        ticks = self._ticks  # once: a first read elsewhere may put the matrix in a source's place
+        if ticks.__class__ is _Source and 2 * len(rows) <= len(self._parameters):
+            lefts, rights, rule = ticks
             pairs = [divmod(row, len(self._factors[1])) for row in rows]
             ours, theirs = _picked(lefts, [a for a, _ in pairs], size), _picked(rights, [b for _, b in pairs], size)
             ticks = _combined(ours, theirs, size * len(rows), rule)
@@ -710,11 +703,13 @@ def complement(soft_set: SoftSet) -> SoftSet:
     The complement of an unread product is unread too (De Morgan): the
     product of the swapped factor matrices under the dual rule."""
     if soft_set._factors is not None:  # negation distributes over each pair
-        factors, source = map(not_parameters, soft_set._factors), soft_set._source
-        if source is not None:
-            lefts, rights, rule = source
-            return _pairs(soft_set.universe, *factors, None, (_swapped(lefts), _swapped(rights), _DUAL[rule]))
-        return _pairs(soft_set.universe, *factors, _swapped(soft_set._matrix()))
+        ticks = soft_set._ticks  # once, as in restrict
+        if ticks.__class__ is _Source:
+            lefts, rights, rule = ticks
+            ticks = _Source((_swapped(lefts), _swapped(rights), _DUAL[rule]))
+        else:
+            ticks = _swapped(ticks)
+        return _pairs(soft_set.universe, *map(not_parameters, soft_set._factors), ticks)
     ticks = _checked(_swapped(soft_set._matrix()), soft_set._valid)
     parameters = not_parameters(soft_set.parameters)
     return SoftSet._of(soft_set.universe, parameters, label_index(parameters), ticks, True)
@@ -753,6 +748,12 @@ def intersection(left: SoftSet, right: SoftSet) -> SoftSet:
     return SoftSet._of(left.universe, parameters, label_index(parameters), _combine(left, right, pairs, _meet), True)
 
 
+class _Source(tuple):
+    """An unread product's ``_ticks``: ``(left matrix, right matrix, rule)`` for :func:`_product_matrix`."""
+
+    __slots__ = ()
+
+
 def _product_matrix(lefts: Columns, rights: Columns, rule, left_count: int, right_count: int, size: int) -> Columns:
     """The full product's tick matrix, one lane operation per component over every pair at once.
 
@@ -774,16 +775,15 @@ def _product(left: SoftSet, right: SoftSet, rule) -> SoftSet:
     Pairs of valid value sets are valid by closure, so a product of valid
     sets keeps its operands' matrices and ``rule`` as its source.  Any other
     product is computed now and checked as a whole, so its first bad cell is
-    also the first in row-major pair order.
+    also the first in row-major pair order, and is raised before a shared label.
     """
     _require_same_universe(left, right)
-    lefts, rights, source = left.parameters, right.parameters, (left._matrix(), right._matrix(), rule)
+    lefts, rights, ticks = left.parameters, right.parameters, _Source((left._matrix(), right._matrix(), rule))
     # A set that is not a product indexes its own labels exactly as its factor index would.
     indexes = [s._rows if s._factors is None else _positions(s.parameters) for s in (left, right)]
-    if left._valid and right._valid:
-        return _pairs(left.universe, lefts, rights, None, source, indexes)
-    ticks = _checked(_product_matrix(*source, len(lefts), len(rights), len(left.universe)), False)
-    return _pairs(left.universe, lefts, rights, ticks, None, indexes)
+    if not (left._valid and right._valid):
+        ticks = _checked(_product_matrix(*ticks, len(lefts), len(rights), len(left.universe)), False)
+    return _pairs(left.universe, lefts, rights, ticks, indexes)
 
 
 def _positions(parameters: Sequence[ParamLike]) -> dict[str, int]:
@@ -813,13 +813,12 @@ def _shared_label(lefts: dict[str, int], rights: dict[str, int], left_count: int
     return False
 
 
-def _pairs(universe: tuple, lefts: tuple, rights: tuple, ticks: Columns | None, source=None, indexes=None):
+def _pairs(universe: tuple, lefts: tuple, rights: tuple, ticks: Columns | _Source, indexes=None):
     """The valid soft set whose row ``a * len(rights) + b`` holds pair
     (``lefts[a]``, ``rights[b]``), found through ``indexes``, the factors'
     positions by label (built here when None).
 
-    Its grades are ``ticks``, or, when that is None, ``rule`` over the rows
-    of two factor matrices, ``source = (left matrix, right matrix, rule)``,
+    Its grades are ``ticks``: the matrix, or a :class:`_Source`, which is
     computed when read (:meth:`SoftSet._matrix`).  Its compounds are built
     when read, unless two pairs share a label: then all of them are built,
     and label_index words the refusal.
@@ -828,7 +827,7 @@ def _pairs(universe: tuple, lefts: tuple, rights: tuple, ticks: Columns | None, 
     if _shared_label(ours, theirs, len(lefts), len(rights)):
         label_index([CompoundParameter(a, b) for a in lefts for b in rights])
     count = len(lefts) * len(rights)
-    return SoftSet._of(universe, [None] * count, (ours, theirs), ticks, True, (lefts, rights), source)
+    return SoftSet._of(universe, [None] * count, (ours, theirs), ticks, True, (lefts, rights))
 
 
 def and_op(left: SoftSet, right: SoftSet) -> SoftSet:

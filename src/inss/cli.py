@@ -16,17 +16,12 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .algebra import SoftSet, and_op, complement, equals, intersection, is_subset, or_op, union
 from .decision import SelectionReport, select_best
 from .documents import (
-    format_grid,
-    load_reference_matrix,
-    load_soft_set,
-    render_table,
-    serialize_soft_set,
+    format_grid, load_reference_matrix, load_soft_set, render_table, save_soft_set, serialize_soft_set
 )
 from .errors import InssError
 
@@ -82,7 +77,7 @@ def _handler(op: str, operands: tuple[str, ...], output: str) -> Callable[[argpa
         elif args.out is None:
             sys.stdout.write(serialize_soft_set(result))
         else:
-            Path(args.out).write_text(serialize_soft_set(result), encoding="utf-8")
+            save_soft_set(result, args.out)
         return 0
 
     return handler

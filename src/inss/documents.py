@@ -32,6 +32,7 @@ Reference matrices (for auditing a computed comparison matrix) use:
 from __future__ import annotations
 
 import json
+import os
 from array import array
 from decimal import Decimal
 from itertools import repeat
@@ -83,7 +84,8 @@ def _read_json(source: str | Path, parse_float=None) -> object:
         return obj
 
     try:
-        text = Path(source).read_text(encoding="utf-8")
+        with open(os.fspath(source), encoding="utf-8") as file:  # not Path: Path("") is "."; an int is no fd
+            text = file.read()
     except UnicodeDecodeError as err:
         raise OSError(f"{source}: not UTF-8 text ({err.reason} at byte {err.start})") from None
     try:
@@ -306,7 +308,10 @@ def serialize_soft_set(soft_set: SoftSet) -> str:
 
 
 def save_soft_set(soft_set: SoftSet, target: str | Path) -> None:
-    Path(target).write_text(serialize_soft_set(soft_set), encoding="utf-8")
+    """Write the canonical document to ``target``; one that cannot be written opens no file."""
+    text = serialize_soft_set(soft_set)
+    with open(os.fspath(target), "w", encoding="utf-8") as file:
+        file.write(text)
 
 
 def load_reference_matrix(source: str | Path) -> ReferenceMatrix:

@@ -99,6 +99,27 @@ class TestValidate:
         assert "error:" in err
 
 
+class TestEmptyPath:
+    """An empty path names no file, not the current directory, whether read or written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", ""],
+            ["union", "", fixture("qualities_a.json")],
+            ["decide", fixture("shopping.json"), "--reference-matrix", ""],
+            ["complement", fixture("attractiveness.json"), "-o", ""],
+        ],
+        ids=["validate", "union", "reference", "out"],
+    )
+    def test_is_a_missing_file(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith("''\n") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -187,6 +187,17 @@ class TestParsingErrors:
         with pytest.raises(FileNotFoundError):
             load_soft_set(tmp_path / "absent.json")
 
+    def test_an_empty_path_is_a_missing_file_not_the_current_directory(self):
+        for read in (load_soft_set, load_reference_matrix):
+            with pytest.raises(FileNotFoundError):
+                read("")
+        with pytest.raises(FileNotFoundError):
+            save_soft_set(load_soft_set(fixture("attractiveness.json")), "")
+        with pytest.raises(TypeError):  # a path, never a file descriptor
+            load_soft_set(987654)
+        with pytest.raises(TypeError):
+            save_soft_set(load_soft_set(fixture("attractiveness.json")), 987654)
+
     def test_document_must_be_an_object(self, tmp_path):
         with pytest.raises(ParseError, match="must be a JSON object"):
             load_soft_set(write_doc(tmp_path, [1, 2]))

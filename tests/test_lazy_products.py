@@ -15,7 +15,9 @@ makes.
 """
 
 import copy
+import json
 import pickle
+import random
 import sys
 import threading
 import tracemalloc
@@ -509,17 +511,109 @@ def test_empty_universes_and_parameterless_operands(op):
                 select_best(op(left, right), [expected.parameters[0].label])
 
 
+# Corner grades of the four-decimal grid, drawn more often than the rest.
+CORNERS = (0, 1, 4999, 5000, 5001, 9999, 10000)
+
+
+def text_of(ticks):
+    """A grade's minimal decimal text, as the format writes it."""
+    return "0" if ticks == 0 else "1" if ticks == 10000 else f"0.{ticks:04d}".rstrip("0")
+
+
+def label_of(param):
+    """The display label of ``(name, negated)`` or ``(left, right)``."""
+    if isinstance(param[0], str):
+        return f"not {param[0]}" if param[1] else param[0]
+    return f"({label_of(param[0])}, {label_of(param[1])})"
+
+
+def spec_of(param):
+    if isinstance(param[0], str):
+        return {"name": param[0], "negated": param[1]}
+    return {"left": spec_of(param[0]), "right": spec_of(param[1])}
+
+
+def negation_of(param):
+    return (param[0], not param[1]) if isinstance(param[0], str) else (negation_of(param[0]), negation_of(param[1]))
+
+
+def complemented(soft_set, times):
+    for _ in range(times):
+        soft_set = complement(soft_set)
+    return soft_set
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 15, 16, 17])
+def test_products_at_lane_boundaries_write_what_int_tuples_give(size):
+    """Universes about one lane block (15 lanes fill eight 30-bit digits), both factor shapes, both
+    rules, up to two complements, and restrictions either side of the factor-row path, held byte
+    for byte to documents built from plain int tuples."""
+    rng = random.Random(size)
+    universe = tuple(f"e{k:02d}" for k in range(size))
+
+    def cell():
+        while True:
+            t, i, f = (rng.choice(CORNERS) if rng.random() < 0.5 else rng.randint(0, 10000) for _ in range(3))
+            if min(t, f) <= 5000 and min(t, i) <= 5000 and min(f, i) <= 5000:
+                return t, i, f
+
+    def operand(prefix, count):
+        rows = [((f"{prefix}{k}", k % 2 == 1), [cell() for _ in universe]) for k in range(count)]
+        params = [Parameter(*param) for param, _ in rows]
+        family = {
+            p: {e: GradeTriple(*map(Grade, c)) for e, c in zip(universe, cells)} for p, (_, cells) in zip(params, rows)
+        }
+        return SoftSet(universe, params, family), rows
+
+    def document(rows):
+        return json.dumps(
+            {
+                "format_version": 1,
+                "universe": list(universe),
+                "parameters": [spec_of(param) for param, _ in rows],
+                "grades": {
+                    label_of(param): {e: list(map(text_of, c)) for e, c in zip(universe, cells)}
+                    for param, cells in rows
+                },
+            },
+            indent=2,
+            sort_keys=True,
+        ) + "\n"
+
+    for left_count, right_count in ((3, 4), (4, 3)):
+        (left, ours), (right, theirs) = operand("p", left_count), operand("q", right_count)
+        for op, rule in ((and_op, (min, min, max)), (or_op, (max, min, min))):
+            rows = [
+                ((a, b), [tuple(pick(x, y) for pick, x, y in zip(rule, c, d)) for c, d in zip(xs, ys)])
+                for a, xs in ours
+                for b, ys in theirs
+            ]
+            for times in range(3):
+                assert serialize_soft_set(complemented(op(left, right), times)) == document(rows)
+                half = len(rows) // 2
+                for count in (half, half + 1):  # the factor rows alone, then the whole matrix first
+                    chosen = rng.sample(range(len(rows)), count)
+                    product = complemented(op(left, right), times)
+                    picked = product.restrict([product.find_parameter(label_of(rows[k][0])) for k in chosen])
+                    assert serialize_soft_set(picked) == document([rows[k] for k in chosen])
+                rows = [(negation_of(param), [c[::-1] for c in cells]) for param, cells in rows]
+
+
 def test_threads_reading_one_unread_product_all_see_its_grades():
     # More threads than cores, switching often, all making the first read of the same products.
     left, right = varied([f"p{k}" for k in range(6)]), varied([f"q{k}" for k in range(8)], shift=2)
     expected = eager_and(left, right)
-    chosen = list(expected.parameters[::5])
+    chosen, most = list(expected.parameters[::5]), list(expected.parameters[1:])
     reads = [
         lambda s: s.restrict(chosen) == expected.restrict(chosen),
         lambda s: s == expected,
         lambda s: dict(s.value_set(chosen[-1])) == dict(expected.value_set(chosen[-1])),
         lambda s: complement(s) == eager_complement(expected),
         lambda s: s.triple(chosen[1], "y") == expected.triple(chosen[1], "y"),
+        lambda s: pickle.loads(pickle.dumps(s)) == expected,
+        lambda s: is_null(s) == is_null(expected),
+        lambda s: s.restrict(most) == expected.restrict(most),
+        lambda s: complement(complement(s)) == expected,
     ]
     products = [and_op(left, right) for _ in range(150)]
     results, switch = [], sys.getswitchinterval()
@@ -528,7 +622,7 @@ def test_threads_reading_one_unread_product_all_see_its_grades():
         for product in products:
             results.append(reads[k % len(reads)](product))
 
-    workers = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    workers = [threading.Thread(target=work, args=(k,)) for k in range(len(reads))]  # one per read
     sys.setswitchinterval(1e-6)
     try:
         for worker in workers:
@@ -538,4 +632,4 @@ def test_threads_reading_one_unread_product_all_see_its_grades():
     finally:
         sys.setswitchinterval(switch)
     assert not any(worker.is_alive() for worker in workers)
-    assert len(results) == 8 * len(products) and all(results)
+    assert len(results) == len(workers) * len(products) and all(results)
