@@ -38,10 +38,11 @@ long as the caller keeps the view.
 
 Parameters are small immutable objects compared by structure.  Each
 computes its label and hash once, at construction, from its children's.  A
-product keeps its two factor tuples and each factor's label index, finds a
-row's label ``(X, Y)`` by looking X up on the left and Y on the right, and
-builds a row's compound parameter only when something reads that row; its
-complement negates the factors and builds none.
+soft set finds its rows through one index: a :class:`_Labels` of its
+parameter tuple, or a product's :class:`_Pairs` of its two factor tuples,
+which builds a row's compound parameter only when something reads that row.
+Each negates into an index of its own kind, so a product's complement
+negates the factors and builds no compound.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ import itertools
 import re
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from contextlib import suppress
 from os.path import commonprefix
 from types import MappingProxyType
 
@@ -332,13 +332,43 @@ def label_index(parameters: Sequence[ParamLike]) -> dict[str, int]:
     return rows
 
 
+class _Labels:
+    """A plain set's row index: its parameter tuple, ``params``, and each
+    one's row by label, ``rows`` (``label_index(params)`` unless given)."""
+
+    __slots__ = ("params", "rows")
+
+    def __init__(self, params: tuple, rows: dict[str, int] | None = None) -> None:
+        self.params, self.rows = params, label_index(params) if rows is None else rows
+
+    def __reduce__(self) -> tuple:
+        return _Labels, (self.params, self.rows)
+
+    def param(self, row: int) -> ParamLike:
+        return self.params[row]
+
+    def all(self) -> tuple:
+        return self.params
+
+    def row(self, param: ParamLike) -> int | None:
+        return self.rows.get(param.label)
+
+    def find(self, label: str) -> int | None:
+        return self.rows.get(label)
+
+    def negated(self) -> "_Labels":
+        return _Labels(not_parameters(self.params))
+
+
 class SoftSet:
     """An ordered family of value sets, one per parameter.
 
     The grades are one tick matrix: three ``array("H")`` columns (truth,
     indeterminacy, falsity), each holding one row of universe-many ticks per
-    parameter, rows in parameter order.  ``_rows`` gives each label's row,
-    and ``_valid`` says whether every cell is known to meet the joint bounds.
+    parameter, rows in parameter order.  ``_index`` maps parameters and
+    labels to rows and back: a :class:`_Labels` for a plain set, a
+    :class:`_Pairs` for a product, which builds its parameters when read.
+    ``_valid`` says whether every cell is known to meet the joint bounds.
     Besides this module, only ``documents.load_soft_set`` lays rows out;
     other modules read them through :func:`tick_rows`.
 
@@ -356,21 +386,10 @@ class SoftSet:
     :class:`InsSet`), so two reads of one row give equal, distinct value
     sets, and a view's triples go when its caller lets it go; :meth:`triple`
     looks its one cell up in a bare :class:`~inss.grades.RowTriples` of the
-    row, with no view.  All of
-    a set's views share one element → position dict, ``_positions``, built
-    when the first view is made.  Two threads reading a cell of one view or
-    a product's parameter for the first time at once may each build an
-    equal object; either one is kept.
-
-    A product keeps its two factor tuples in ``_factors``, and its
-    ``_parameters`` start as a list of None: :meth:`_param` builds row
-    ``a * len(rights) + b``'s ``CompoundParameter(lefts[a], rights[b])`` when
-    something first reads it, then keeps it, so each row hands out one
-    object (threads racing on it may build equal ones, as above);
-    :attr:`parameters` builds the rest in one pass and keeps them as a
-    tuple.  Its ``_rows`` is instead its factors' two label indexes, each
-    factor's position by label, read by :meth:`_pair_row`.  Every other
-    soft set has ``_factors`` None and a tuple of parameters.
+    row, with no view.  All of a set's views share one element → position
+    dict, ``_positions``, built when the first view is made.  Two threads
+    reading a cell of one view or a product's parameter for the first time
+    at once may each build an equal object; either one is kept.
 
     :meth:`_row` is the one lookup from a parameter to its row, for every
     method and operation that takes parameters; anything but a parameter
@@ -378,7 +397,7 @@ class SoftSet:
     :meth:`find_parameter` (or ``decision.select_best``, which calls it).
     """
 
-    __slots__ = ("_universe", "_parameters", "_rows", "_ticks", "_valid", "_factors", "_positions")
+    __slots__ = ("_universe", "_index", "_ticks", "_valid", "_positions")
 
     def __init__(
         self,
@@ -408,43 +427,34 @@ class SoftSet:
             indeterminacy += [triple.indeterminacy.ten_thousandths for triple in triples]
             falsity += [triple.falsity.ten_thousandths for triple in triples]
         ticks = (array("H", truth), array("H", indeterminacy), array("H", falsity))
-        self._set(universe, parameters, rows, ticks, first_violation(*ticks) is None)
+        self._set(universe, _Labels(parameters, rows), ticks, first_violation(*ticks) is None)
 
     @classmethod
-    def _of(cls, universe: tuple, parameters, rows: dict[str, int], ticks, valid: bool, factors=None) -> "SoftSet":
-        """A soft set over a checked ``universe`` holding the tick matrix
-        ``ticks``, which it keeps without copying; ``rows`` is
-        ``label_index(parameters)`` and ``valid`` says whether every cell is
-        known to meet the joint bounds.  A product passes its factor tuples
-        as ``factors``, their label indexes as ``rows`` and a list of None
-        as ``parameters``; an unread one passes a :class:`_Source` as
-        ``ticks`` (see :func:`_pairs`)."""
+    def _of(cls, universe: tuple, index: "_Labels | _Pairs", ticks, valid: bool) -> "SoftSet":
+        """A soft set over a checked ``universe`` whose rows ``index`` maps, keeping the
+        tick matrix ``ticks`` (an unread product's :class:`_Source`) without copying it;
+        ``valid`` says whether every cell is known to meet the joint bounds."""
         self = cls.__new__(cls)
-        self._set(universe, parameters, rows, ticks, valid, factors)
+        self._set(universe, index, ticks, valid)
         return self
 
-    def _set(self, universe, parameters, rows, ticks, valid, factors=None) -> None:
+    def _set(self, universe, index, ticks, valid) -> None:
         self._universe = universe
-        self._parameters = parameters
-        self._rows = rows
+        self._index = index
         self._ticks = ticks
         self._valid = valid
-        self._factors = factors
         self._positions = None
 
     def __reduce__(self) -> tuple:
-        # Copied and pickled with its matrix, never a source, and without ``_positions``;
-        # a product as its factors, so its indexes and compounds are built again.
-        if self._factors is not None:
-            return _pairs, (self._universe, *self._factors, self._matrix())
-        return SoftSet._of, (self._universe, self._parameters, self._rows, self._matrix(), self._valid)
+        # Copied and pickled with its matrix, never a source, and without ``_positions``.
+        return SoftSet._of, (self._universe, self._index, self._matrix(), self._valid)
 
     def _matrix(self) -> Columns:
         """The tick matrix; an unread product's is computed from its source on first read, then kept."""
         ticks = self._ticks
         if ticks.__class__ is _Source:
-            lefts, rights = self._factors
-            ticks = self._ticks = _product_matrix(*ticks, len(lefts), len(rights), len(self._universe))
+            index = self._index
+            ticks = self._ticks = _product_matrix(*ticks, len(index.lefts), len(index.rights), len(self._universe))
         return ticks
 
     def _element_positions(self) -> dict[str, int]:
@@ -453,35 +463,14 @@ class SoftSet:
             self._positions = {element: k for k, element in enumerate(self._universe)}
         return self._positions
 
-    def _param(self, row: int) -> ParamLike:
-        """The parameter of ``row``; a product's is built when first read, then kept."""
-        parameters = self._parameters  # once: another thread's ``parameters`` may swap the list for a tuple
-        param = parameters[row]
-        if param is None:
-            lefts, rights = self._factors
-            left, right = divmod(row, len(rights))
-            param = parameters[row] = CompoundParameter(lefts[left], rights[right])
-        return param
-
-    def _pair_row(self, left: str, right: str) -> int | None:
-        """A product's row of the pair whose parts are labelled ``left`` and ``right``, or None."""
-        lefts, rights = self._rows
-        a, b = lefts.get(left), rights.get(right)
-        return None if a is None or b is None else a * len(rights) + b
-
     def _row(self, param: ParamLike) -> int | None:
         """The row holding ``param``'s value set, or None when the set lacks it."""
         if not isinstance(param, _Param):
             raise TypeError(f"not a parameter: {clipped(repr(param))}")
-        if self._factors is None:
-            row = self._rows.get(param.label)
-        elif isinstance(param, CompoundParameter):
-            row = self._pair_row(param.left.label, param.right.label)
-        else:
-            return None
+        row = self._index.row(param)
         if row is None:
             return None
-        known = self._param(row)
+        known = self._index.param(row)
         return row if known is param or known == param else None
 
     def _known_row(self, param: ParamLike) -> int:
@@ -497,10 +486,7 @@ class SoftSet:
 
     @property
     def parameters(self) -> tuple[ParamLike, ...]:
-        if self._parameters.__class__ is list:
-            rows = zip(self._parameters, itertools.product(*self._factors))
-            self._parameters = tuple([CompoundParameter(*pair) if built is None else built for built, pair in rows])
-        return self._parameters
+        return self._index.all()
 
     @property
     def family(self) -> Mapping[ParamLike, InsSet]:
@@ -526,22 +512,11 @@ class SoftSet:
         return RowTriples(self._matrix(), start, positions)[element]
 
     def find_parameter(self, label: str) -> ParamLike:
-        """Look a parameter up by its display label.
-
-        A product splits ``(X, Y)`` at each ``", "`` in turn; no two pairs
-        share a label, so at most one split finds X on the left and Y on the
-        right."""
-        row = None
-        if self._factors is None:
-            with suppress(TypeError):  # an unhashable label
-                row = self._rows.get(label)
-        elif isinstance(label, str) and label[:1] == "(" and label[-1:] == ")":
-            at = label.find(", ", 1)
-            while row is None and at > 0:
-                row, at = self._pair_row(label[1:at], label[at + 2 : -1]), label.find(", ", at + 1)
+        """Look a parameter up by its display label (a product's: see :meth:`_Pairs.find`)."""
+        row = self._index.find(label) if isinstance(label, str) else None
         if row is None:
             raise UnknownParameter(f"unknown parameter '{clipped(str(label))}'")
-        return self._param(row)
+        return self._index.param(row)
 
     def restrict(self, parameters: Sequence[ParamLike]) -> "SoftSet":
         """The same universe, narrowed to the given parameters in the given order.
@@ -550,17 +525,17 @@ class SoftSet:
         rows, when they are at most half its rows; gathering rows one by one
         costs more than computing them all at once beyond that."""
         parameters = tuple(parameters)
-        rows, size = [self._known_row(param) for param in parameters], len(self._universe)
+        rows, size, index = [self._known_row(param) for param in parameters], len(self._universe), self._index
         ticks = self._ticks  # once: a first read elsewhere may put the matrix in a source's place
-        if ticks.__class__ is _Source and 2 * len(rows) <= len(self._parameters):
+        if ticks.__class__ is _Source and 2 * len(rows) <= len(index.params):
             lefts, rights, rule = ticks
-            pairs = [divmod(row, len(self._factors[1])) for row in rows]
+            pairs = [divmod(row, len(index.rights)) for row in rows]
             ours, theirs = _picked(lefts, [a for a, _ in pairs], size), _picked(rights, [b for _, b in pairs], size)
             ticks = _combined(ours, theirs, size * len(rows), rule)
         else:
             matrix = self._matrix()
             ticks = _stacked(size, [(matrix, row) for row in rows])
-        return SoftSet._of(self._universe, parameters, label_index(parameters), ticks, self._valid)
+        return SoftSet._of(self._universe, _Labels(parameters), ticks, self._valid)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SoftSet):
@@ -572,7 +547,7 @@ class SoftSet:
         )
 
     def __repr__(self) -> str:
-        return f"SoftSet({len(self._universe)} elements, {len(self._parameters)} parameters)"
+        return f"SoftSet({len(self._universe)} elements, {len(self._index.params)} parameters)"
 
 
 def tick_rows(soft_set: SoftSet) -> Iterator[tuple[list[int], list[int], list[int]]]:
@@ -580,7 +555,7 @@ def tick_rows(soft_set: SoftSet) -> Iterator[tuple[list[int], list[int], list[in
     order, each a list in universe order (a list yields its items without
     making new ints, where an array boxes each one)."""
     size, ticks = len(soft_set.universe), soft_set._matrix()
-    for row in range(len(soft_set._parameters)):
+    for row in range(len(soft_set._index.params)):
         start = row * size
         yield tuple(column[start : start + size].tolist() for column in ticks)
 
@@ -702,17 +677,13 @@ def complement(soft_set: SoftSet) -> SoftSet:
 
     The complement of an unread product is unread too (De Morgan): the
     product of the swapped factor matrices under the dual rule."""
-    if soft_set._factors is not None:  # negation distributes over each pair
-        ticks = soft_set._ticks  # once, as in restrict
-        if ticks.__class__ is _Source:
-            lefts, rights, rule = ticks
-            ticks = _Source((_swapped(lefts), _swapped(rights), _DUAL[rule]))
-        else:
-            ticks = _swapped(ticks)
-        return _pairs(soft_set.universe, *map(not_parameters, soft_set._factors), ticks)
-    ticks = _checked(_swapped(soft_set._matrix()), soft_set._valid)
-    parameters = not_parameters(soft_set.parameters)
-    return SoftSet._of(soft_set.universe, parameters, label_index(parameters), ticks, True)
+    ticks = soft_set._ticks  # once, as in restrict
+    if ticks.__class__ is _Source:
+        lefts, rights, rule = ticks
+        ticks = _Source((_swapped(lefts), _swapped(rights), _DUAL[rule]))
+    else:
+        ticks = _checked(_swapped(ticks), soft_set._valid)
+    return SoftSet._of(soft_set.universe, soft_set._index.negated(), ticks, True)
 
 
 def is_null(soft_set: SoftSet) -> bool:
@@ -735,7 +706,7 @@ def union(left: SoftSet, right: SoftSet) -> SoftSet:
     pieces += [(theirs, b) for b in extra]
     parameters = left.parameters + tuple(right.parameters[b] for b in extra)
     ticks = _stacked(len(left.universe), pieces)
-    return SoftSet._of(left.universe, parameters, label_index(parameters), ticks, left._valid and right._valid)
+    return SoftSet._of(left.universe, _Labels(parameters), ticks, left._valid and right._valid)
 
 
 def intersection(left: SoftSet, right: SoftSet) -> SoftSet:
@@ -745,7 +716,7 @@ def intersection(left: SoftSet, right: SoftSet) -> SoftSet:
     if not pairs:
         raise EmptyParameterIntersection("the parameter sets share no member")
     parameters = tuple(left.parameters[a] for a, _ in pairs)
-    return SoftSet._of(left.universe, parameters, label_index(parameters), _combine(left, right, pairs, _meet), True)
+    return SoftSet._of(left.universe, _Labels(parameters), _combine(left, right, pairs, _meet), True)
 
 
 class _Source(tuple):
@@ -779,11 +750,9 @@ def _product(left: SoftSet, right: SoftSet, rule) -> SoftSet:
     """
     _require_same_universe(left, right)
     lefts, rights, ticks = left.parameters, right.parameters, _Source((left._matrix(), right._matrix(), rule))
-    # A set that is not a product indexes its own labels exactly as its factor index would.
-    indexes = [s._rows if s._factors is None else _positions(s.parameters) for s in (left, right)]
     if not (left._valid and right._valid):
         ticks = _checked(_product_matrix(*ticks, len(lefts), len(rights), len(left.universe)), False)
-    return _pairs(left.universe, lefts, rights, ticks, indexes)
+    return SoftSet._of(left.universe, _Pairs(lefts, rights, (left._index.rows, right._index.rows)), ticks, True)
 
 
 def _positions(parameters: Sequence[ParamLike]) -> dict[str, int]:
@@ -813,21 +782,73 @@ def _shared_label(lefts: dict[str, int], rights: dict[str, int], left_count: int
     return False
 
 
-def _pairs(universe: tuple, lefts: tuple, rights: tuple, ticks: Columns | _Source, indexes=None):
-    """The valid soft set whose row ``a * len(rights) + b`` holds pair
-    (``lefts[a]``, ``rights[b]``), found through ``indexes``, the factors'
-    positions by label (built here when None).
+class _Pairs:
+    """A product's row index: row ``a * len(rights) + b`` holds pair
+    (``lefts[a]``, ``rights[b]``), found through ``indexes``, the two
+    factors' positions by label (built here when None).
 
-    Its grades are ``ticks``: the matrix, or a :class:`_Source`, which is
-    computed when read (:meth:`SoftSet._matrix`).  Its compounds are built
-    when read, unless two pairs share a label: then all of them are built,
-    and label_index words the refusal.
+    ``params`` starts as a list of None: :meth:`param` builds row
+    ``a * len(rights) + b``'s ``CompoundParameter(lefts[a], rights[b])``
+    when something first reads it, then keeps it, so each row hands out one
+    object; :meth:`all` builds the rest in one pass and keeps them as a
+    tuple.  No compound is built before it is read, unless two pairs share a
+    label: then all of them are built, and label_index words the refusal.
     """
-    ours, theirs = indexes or (_positions(lefts), _positions(rights))
-    if _shared_label(ours, theirs, len(lefts), len(rights)):
-        label_index([CompoundParameter(a, b) for a in lefts for b in rights])
-    count = len(lefts) * len(rights)
-    return SoftSet._of(universe, [None] * count, (ours, theirs), ticks, True, (lefts, rights))
+
+    __slots__ = ("lefts", "rights", "indexes", "params")
+
+    def __init__(self, lefts: tuple, rights: tuple, indexes=None) -> None:
+        ours, theirs = indexes or (_positions(lefts), _positions(rights))
+        if _shared_label(ours, theirs, len(lefts), len(rights)):
+            label_index([CompoundParameter(a, b) for a in lefts for b in rights])
+        self.lefts, self.rights, self.indexes = lefts, rights, (ours, theirs)
+        self.params = [None] * (len(lefts) * len(rights))
+
+    def __reduce__(self) -> tuple:
+        # Its factors only: the indexes and compounds are built again.
+        return _Pairs, (self.lefts, self.rights)
+
+    @property
+    def rows(self) -> dict[str, int]:
+        """Each compound's row by label, for a product used as an operand: builds every compound."""
+        return _positions(self.all())
+
+    def param(self, row: int) -> ParamLike:
+        params = self.params  # once: another thread's all() may swap the list for a tuple
+        param = params[row]
+        if param is None:
+            left, right = divmod(row, len(self.rights))
+            param = params[row] = CompoundParameter(self.lefts[left], self.rights[right])
+        return param
+
+    def all(self) -> tuple:
+        if self.params.__class__ is list:
+            built = zip(self.params, itertools.product(self.lefts, self.rights))
+            self.params = tuple([CompoundParameter(*pair) if param is None else param for param, pair in built])
+        return self.params
+
+    def row(self, param: ParamLike) -> int | None:
+        return self._at(param.left.label, param.right.label) if isinstance(param, CompoundParameter) else None
+
+    def find(self, label: str) -> int | None:
+        """Splits ``(X, Y)`` at each ``", "`` in turn; no two pairs share a
+        label, so at most one split finds X on the left and Y on the right."""
+        row = None
+        if label[:1] == "(" and label[-1:] == ")":
+            at = label.find(", ", 1)
+            while row is None and at > 0:
+                row, at = self._at(label[1:at], label[at + 2 : -1]), label.find(", ", at + 1)
+        return row
+
+    def _at(self, left: str, right: str) -> int | None:
+        """The row of the pair whose parts are labelled ``left`` and ``right``, or None."""
+        lefts, rights = self.indexes
+        a, b = lefts.get(left), rights.get(right)
+        return None if a is None or b is None else a * len(rights) + b
+
+    def negated(self) -> "_Pairs":
+        # Negation distributes over each pair.
+        return _Pairs(not_parameters(self.lefts), not_parameters(self.rights))
 
 
 def and_op(left: SoftSet, right: SoftSet) -> SoftSet:

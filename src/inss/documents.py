@@ -39,7 +39,7 @@ from itertools import repeat
 from pathlib import Path
 
 from .algebra import (
-    CompoundParameter, ParamLike, Parameter, SoftSet, _fold, checked_universe, gaps, label_index, tick_rows
+    CompoundParameter, ParamLike, Parameter, SoftSet, _Labels, _fold, checked_universe, gaps, label_index, tick_rows
 )
 from .decision import ReferenceMatrix
 from .errors import ConstraintViolation, OutOfRange, ParseError, PrecisionLoss, clipped
@@ -248,7 +248,7 @@ def load_soft_set(source: str | Path, *, check_grades: bool = True) -> SoftSet:
             raise ConstraintViolation(
                 f"grades['{clipped(labels[row])}']['{clipped(universe[element])}']: {message}"
             ) from None
-    return SoftSet._of(universe, parameters, rows, ticks, problem is None)
+    return SoftSet._of(universe, _Labels(parameters, rows), ticks, problem is None)
 
 
 def soft_set_to_document(soft_set: SoftSet) -> dict:

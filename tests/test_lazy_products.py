@@ -358,6 +358,8 @@ FIRST_READS = {
     "==": lambda s: s == s,
     "serialize_soft_set": serialize_soft_set,
     "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+    "pickle, protocol 0": lambda s: pickle.loads(pickle.dumps(s, protocol=0)),
+    "pickle, protocol 2": lambda s: pickle.loads(pickle.dumps(s, protocol=2)),
     "deepcopy": copy.deepcopy,
     "tick_rows": lambda s: list(tick_rows(s)),
     "and_op operand": lambda s: and_op(s, varied(["r"])),
@@ -614,6 +616,8 @@ def test_threads_reading_one_unread_product_all_see_its_grades():
         lambda s: is_null(s) == is_null(expected),
         lambda s: s.restrict(most) == expected.restrict(most),
         lambda s: complement(complement(s)) == expected,
+        lambda s: [s.find_parameter(p.label) for p in chosen] == chosen,
+        lambda s: s.parameters == expected.parameters,
     ]
     products = [and_op(left, right) for _ in range(150)]
     results, switch = [], sys.getswitchinterval()

@@ -201,11 +201,12 @@ def test_a_pickled_value_set_does_not_grow_with_the_parameter_count():
 
 
 def test_a_set_with_views_held_copies_and_pickles():
-    s = product()
-    view = s.value_set(s.parameters[0])
-    for copied in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
-        assert copied == s
-        assert copied.value_set(s.parameters[0]) == view
+    for s in (product(), load_soft_set(fixture("qualities_a.json"))):
+        view = s.value_set(s.parameters[0])
+        pickled = [pickle.loads(pickle.dumps(s, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in (copy.copy(s), copy.deepcopy(s), *pickled):
+            assert copied == s
+            assert copied.value_set(s.parameters[0]) == view
 
 
 def test_the_family_rebuilds_the_set():
