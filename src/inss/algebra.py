@@ -237,11 +237,12 @@ def gaps(expected: dict, given: Mapping) -> tuple[list, list]:
 class InsSet(Mapping):
     """A total assignment of grade triples over an ordered universe.
 
-    Built from a mapping, it keeps one dict of the given GradeTriples, keyed
-    in universe order.  A soft set's value set (see :meth:`SoftSet.value_set`)
-    is instead a new view of one row of the soft set's tick matrix: its dict
-    is a :class:`~inss.grades.RowTriples`, which builds an element's triple
-    when that element is first read through this view and keeps it, so each
+    Built from a mapping, it checks the universe as a soft set does and
+    keeps one dict of the given GradeTriples, keyed in universe order.  A
+    soft set's value set (see :meth:`SoftSet.value_set`) is instead a new
+    view of one row of the soft set's tick matrix: its dict is a
+    :class:`~inss.grades.RowTriples`, which builds an element's triple when
+    that element is first read through this view and keeps it, so each
     later read through the view returns the same object.  Either way the
     assignment never changes, and copies and pickles hold the triples, not
     the matrix.
@@ -250,20 +251,8 @@ class InsSet(Mapping):
     __slots__ = ("_universe", "_cells")
 
     def __init__(self, universe: Sequence[str], triples: Mapping[str, GradeTriple]):
-        universe = tuple(universe)
-        missing, extra = gaps(dict.fromkeys(universe), triples)
-        if missing or extra:
-            parts = []
-            if missing:
-                parts.append(f"missing elements {clipped(str(missing))}")
-            if extra:
-                parts.append(f"unknown elements {clipped(str(sorted(extra)))}")
-            raise ValueError("value set " + ", ".join(parts))
-        cells = {element: triples[element] for element in universe}
-        for element, triple in cells.items():
-            if not isinstance(triple, GradeTriple):
-                raise TypeError(f"value for {clipped(repr(element))} is not a GradeTriple")
-        self._universe, self._cells = universe, cells
+        universe = checked_universe(universe)
+        self._universe, self._cells = universe, _value_cells(dict.fromkeys(universe), triples)
 
     @classmethod
     def _of(cls, universe: tuple[str, ...], cells: RowTriples) -> "InsSet":
@@ -291,6 +280,24 @@ class InsSet(Mapping):
 
     def __reduce__(self) -> tuple:
         return InsSet, (self._universe, dict(self))
+
+
+def _value_cells(universe: dict, triples: Mapping) -> dict:
+    """The value set ``triples`` as a dict in the order of ``universe``, a dict of the element
+    ids: ValueError unless its keys are exactly those ids, TypeError for a non-GradeTriple."""
+    missing, extra = gaps(universe, triples)
+    if missing or extra:
+        parts = []
+        if missing:
+            parts.append(f"missing elements {clipped(str(missing))}")
+        if extra:
+            parts.append(f"unknown elements {clipped(str(sorted(extra)))}")
+        raise ValueError("value set " + ", ".join(parts))
+    cells = {element: triples[element] for element in universe}
+    for element, triple in cells.items():
+        if not isinstance(triple, GradeTriple):
+            raise TypeError(f"value for {clipped(repr(element))} is not a GradeTriple")
+    return cells
 
 
 def checked_universe(elements: Iterable) -> tuple[str, ...]:
@@ -417,10 +424,11 @@ class SoftSet:
                 parts.append(f"value sets for undeclared parameters {clipped(str(sorted(p.label for p in extra)))}")
             raise ValueError("family mismatch: " + ", ".join(parts))
 
+        elements = dict.fromkeys(universe)
         truth, indeterminacy, falsity = [], [], []
         for param in parameters:
             try:
-                triples = InsSet(universe, family[param])._cells.values()
+                triples = _value_cells(elements, family[param]).values()
             except ValueError as err:
                 raise ValueError(f"parameter '{clipped(param.label)}': {err}") from None
             truth += [triple.truth.ten_thousandths for triple in triples]
@@ -552,20 +560,14 @@ class SoftSet:
 
 def tick_rows(soft_set: SoftSet) -> Iterator[tuple[list[int], list[int], list[int]]]:
     """Each value set's truth, indeterminacy and falsity ticks, in parameter
-    order, each a list in universe order (a list yields its items without
-    making new ints, where an array boxes each one)."""
-    size, ticks = len(soft_set.universe), soft_set._matrix()
-    for row in range(len(soft_set._index.params)):
-        start = row * size
-        yield tuple(column[start : start + size].tolist() for column in ticks)
-
-
-def component_rows(soft_set: SoftSet) -> Iterator[Iterator[tuple[int, ...]]]:
-    """For truth, indeterminacy and falsity, each value set's ticks as a tuple, in parameter
-    order, cut from one list of the whole column; the universe must not be empty."""
-    size = len(soft_set.universe)
-    for column in soft_set._matrix():  # one column's list at a time
-        yield zip(*[iter(column.tolist())] * size)
+    order, each a list in universe order; the one reader of rows for every
+    other module.  Each column's rows come from one ``tolist`` of a 2-D view
+    (a list yields its items without making new ints, where an array boxes
+    each one, and one C call per column costs less than a slice per row)."""
+    shape, ticks = [len(soft_set._index.params), len(soft_set.universe)], soft_set._matrix()
+    if not ticks[0]:  # no cells: memoryview.cast refuses a zero in a shape
+        return (([], [], []) for _ in range(shape[0]))
+    return zip(*[memoryview(column).cast("B").cast("H", shape).tolist() for column in ticks])
 
 
 def _stacked(size: int, pieces: list[tuple[Columns, int]]) -> Columns:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable, Sequence
 from functools import cache
-from typing import Callable, Sequence
 
 from .algebra import SoftSet, and_op, complement, equals, intersection, is_subset, or_op, union
 from .decision import SelectionReport, select_best

@@ -11,8 +11,8 @@ All three counts use >= against each other object, so ties count as wins.
 Row sums give the scores; the best object is the highest score, earliest
 universe position winning ties.  Per-column work is independent (columns
 could be computed in parallel); this implementation is sequential.  It reads
-each component's rows of the soft set's tick matrix as tuples cut from one
-list (``algebra.component_rows``), sorts each row once and reads the row's
+the soft set's rows as lists through ``algebra.tick_rows``, the one reader
+of rows outside ``algebra``, sorts each row once and reads the row's
 win counts in one C call, an ``itemgetter`` over the row on a dict from
 each value to its last position in sorted order.  The matrix keeps the win
 counts as they are computed, one tuple of ints per component and
@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from operator import itemgetter
 
-from .algebra import ParamLike, SoftSet, component_rows
+from .algebra import ParamLike, SoftSet, tick_rows
 from .errors import EmptyParameterSet, EmptyUniverse, ReferenceMismatch, clipped
 from .grades import GradeTriple, Record
 
@@ -51,7 +51,7 @@ class DecisionTable:
     lookup raises TypeError for anything but a parameter.
     """
 
-    __slots__ = ("_soft_set", "_objects", "_parameters", "_rows")
+    __slots__ = ("_soft_set", "_rows")
 
     def __init__(self, soft_set: SoftSet, choice: Sequence[ParamLike | str] | None = None):
         find = soft_set.find_parameter
@@ -61,8 +61,6 @@ class DecisionTable:
         if not soft_set.universe:
             raise EmptyUniverse("a decision needs at least one object")
         self._soft_set = soft_set.restrict(entries)
-        self._objects = self._soft_set.universe
-        self._parameters = self._soft_set.parameters
         self._rows = None
 
     @property
@@ -71,23 +69,23 @@ class DecisionTable:
 
     @property
     def objects(self) -> tuple[str, ...]:
-        return self._objects
+        return self._soft_set.universe
 
     @property
     def parameters(self) -> tuple[ParamLike, ...]:
-        return self._parameters
+        return self._soft_set.parameters
 
     @property
     def rows(self) -> tuple[tuple[GradeTriple, ...], ...]:
         if self._rows is None:
-            columns = [self._soft_set.value_set(p) for p in self._parameters]
+            columns = [self._soft_set.value_set(p) for p in self.parameters]
             self._rows = tuple(
-                tuple(column[element] for column in columns) for element in self._objects
+                tuple(column[element] for column in columns) for element in self.objects
             )
         return self._rows
 
     def __repr__(self) -> str:
-        return f"DecisionTable({len(self._objects)} objects, {len(self._parameters)} parameters)"
+        return f"DecisionTable({len(self.objects)} objects, {len(self.parameters)} parameters)"
 
 
 class CellAudit(Record):
@@ -198,7 +196,7 @@ class ComparisonMatrix:
         )
 
 
-def _win_counts(column: tuple[int, ...]) -> tuple[int, ...]:
+def _win_counts(column: Sequence[int]) -> tuple[int, ...]:
     """For each value, how many other values in the column are at or below it.
 
     Mapping each value to its last position in sorted order gives exactly
@@ -216,7 +214,8 @@ def comparison_matrix(table: DecisionTable) -> ComparisonMatrix:
     Each component column is sorted once; an object's win count is the
     number of values at or below its own, self excluded.
     """
-    wins = tuple(tuple(map(_win_counts, rows)) for rows in component_rows(table.soft_set))
+    # Rows regrouped by component: one map call per component, not one per parameter.
+    wins = tuple(tuple(map(_win_counts, rows)) for rows in zip(*tick_rows(table.soft_set)))
     return ComparisonMatrix._of(table.objects, table.parameters, wins)
 
 
@@ -255,7 +254,7 @@ class MatrixDiff(Record):
 
 def _diff_against(matrix: ComparisonMatrix, reference: ReferenceMatrix) -> tuple[MatrixDiff, ...]:
     labels = tuple(p.label for p in matrix.parameters)
-    if reference.objects != matrix.objects or reference.parameter_labels != labels:
+    if tuple(reference.objects) != matrix.objects or tuple(reference.parameter_labels) != labels:
         lists = (reference.objects, reference.parameter_labels, matrix.objects, labels)
         quoted = [clipped(str(list(ids))) for ids in lists]
         raise ReferenceMismatch("reference covers {} x {}, computed matrix covers {} x {}".format(*quoted))

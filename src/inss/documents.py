@@ -36,7 +36,6 @@ import os
 from array import array
 from decimal import Decimal
 from itertools import repeat
-from pathlib import Path
 
 from .algebra import (
     CompoundParameter, ParamLike, Parameter, SoftSet, _Labels, _fold, checked_universe, gaps, label_index, tick_rows
@@ -71,7 +70,7 @@ class _Number(Decimal):
     __repr__ = Decimal.__str__
 
 
-def _read_json(source: str | Path, parse_float=None) -> object:
+def _read_json(source: str | os.PathLike, parse_float=None) -> object:
     """The JSON value in a UTF-8 file (other bytes are an OSError); no object
     may repeat a key.  ``parse_float`` reads numbers with a fraction or an
     exponent, as in ``json.loads`` (None: binary floats)."""
@@ -197,7 +196,7 @@ def _value_set(label: str, cells: object, universe: tuple[str, ...], positions: 
         raise ParseError(f"{where}: missing element '{clipped(missing[0])}'")
 
 
-def load_soft_set(source: str | Path, *, check_grades: bool = True) -> SoftSet:
+def load_soft_set(source: str | os.PathLike, *, check_grades: bool = True) -> SoftSet:
     """Load a soft-set document.
 
     Structural problems raise ParseError naming the offending location; grade
@@ -307,14 +306,14 @@ def serialize_soft_set(soft_set: SoftSet) -> str:
     )
 
 
-def save_soft_set(soft_set: SoftSet, target: str | Path) -> None:
+def save_soft_set(soft_set: SoftSet, target: str | os.PathLike) -> None:
     """Write the canonical document to ``target``; one that cannot be written opens no file."""
     text = serialize_soft_set(soft_set)
     with open(os.fspath(target), "w", encoding="utf-8") as file:
         file.write(text)
 
 
-def load_reference_matrix(source: str | Path) -> ReferenceMatrix:
+def load_reference_matrix(source: str | os.PathLike) -> ReferenceMatrix:
     """Load a reference comparison matrix (integer entries, labelled axes)."""
     doc = _read_json(source)
     _check_document(doc, {"format_version", "objects", "parameters", "entries"}, str(source))

@@ -16,8 +16,8 @@ escape hatch is :meth:`GradeTriple.unchecked`).  The first three bounds fail
 exactly when two components exceed one half, and they already cap the sum at
 2.
 
-``Grade``, ``GradeTriple`` and the decision module's records are frozen
-:class:`Record` classes with ``__slots__``, not dataclasses: no instance
+``Grade``, ``GradeTriple`` and the decision and oracle modules' records are
+frozen :class:`Record` classes with ``__slots__``, not dataclasses: no instance
 ``__dict__``, so a triple takes 56 bytes.  They compare, hash, print, copy
 and pickle by their fields, but ``dataclasses.fields``, ``asdict``,
 ``replace`` and ``is_dataclass`` do not apply to them.

@@ -12,12 +12,11 @@ results; nothing else should.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .algebra import CompoundParameter, ParamLike, SoftSet
+from .algebra import CompoundParameter, SoftSet
 from .decision import CellAudit, ComparisonMatrix, DecisionTable
 from .errors import EmptyParameterIntersection, UniverseMismatch, UnknownLaw
-from .grades import COMPONENTS, GradeTriple
+from .grades import COMPONENTS, GradeTriple, Record
 
 __all__ = [
     "check_triple",
@@ -181,20 +180,17 @@ def _raw_null_like(a: _Raw) -> _Raw:
     return (tuple(pa), {p: {e: (0, 0, 0) for e in va[p]} for p in pa})
 
 
-@dataclass(frozen=True)
-class LawCounterexample:
-    """The first spot (in label, universe, component order) where the sides differ."""
+class LawCounterexample(Record):
+    """The first spot (in label, universe, component order) where the sides differ:
+    ``parameter``, ``element`` (None for a parameter on one side only) and ``component``."""
 
-    parameter: ParamLike
-    element: str | None
-    component: str
+    __slots__ = ("parameter", "element", "component")
 
 
-@dataclass(frozen=True)
-class LawCheckResult:
-    law: str
-    holds: bool
-    counterexample: LawCounterexample | None
+class LawCheckResult(Record):
+    """Whether the ``law`` ``holds``, and if not its ``counterexample`` (else None)."""
+
+    __slots__ = ("law", "holds", "counterexample")
 
 
 def _compare(universe: Sequence[str], left: _Raw, right: _Raw) -> LawCounterexample | None:

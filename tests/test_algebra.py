@@ -254,6 +254,19 @@ class TestConstruction:
         with pytest.raises(DuplicateElement):
             SoftSet(("x", "x"), [p], {p: {"x": triple(0, 0, 0)}})
 
+    def test_value_set_universe_is_checked_as_a_soft_set_s(self):
+        p, cell = Parameter("p"), triple(0, 0, 0)
+        with pytest.raises(DuplicateElement, match=r"^universe\[1\]: duplicate element id 'x'$"):
+            InsSet(("x", "x"), {"x": cell})
+        for bad in ("", 1):
+            text = f"universe[0]: element id must be a non-empty string, got {bad!r}"
+            for build in (lambda: InsSet((bad,), {bad: cell}), lambda: SoftSet((bad,), [p], {p: {bad: cell}})):
+                with pytest.raises(ValueError) as caught:
+                    build()
+                assert str(caught.value) == text
+        built = InsSet(("x", "y"), {"y": cell, "x": cell})
+        assert len(pickle.loads(pickle.dumps(built))) == len(built) == 2
+
     def test_duplicate_parameter_rejected(self):
         p = Parameter("p")
         with pytest.raises(DuplicateParameter):

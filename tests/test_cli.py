@@ -505,6 +505,15 @@ class TestImports:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
+    def test_bare_imports_of_cli_and_oracle_load_no_annotation_or_record_modules(self):
+        # -S keeps site out, since site itself may import some of these modules.
+        modules = "{'dataclasses', 'inspect', 'pathlib', 'typing'}"
+        code = f"import sys, inss.cli, inss.oracle; print(sorted({modules} & set(sys.modules)))"
+        src = os.path.dirname(os.path.dirname(inss.cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
     def test_the_package_re_exports_each_module_s_public_names(self):
         modules = (inss.grades, inss.algebra, inss.decision, inss.documents, inss.errors)
         assert inss.__all__ == ["__version__", *(name for module in modules for name in module.__all__)]

@@ -299,8 +299,24 @@ class TestReference:
         with pytest.raises(ValueError):
             ReferenceMatrix(("a",), ("p",), ((1, 2),))
 
+    def test_reference_built_from_lists_is_compared_as_tuples(self, shopping, shopping_matrix):
+        objects, labels = list(shopping_matrix.objects), [p.label for p in shopping_matrix.parameters]
+        rows = [list(row) for row in shopping_matrix.entries]
+        assert select_best(shopping, reference=ReferenceMatrix(objects, labels, rows)).reference_diff == ()
+        rows[1][2] += 1
+        diff = select_best(shopping, reference=ReferenceMatrix(objects, labels, rows)).reference_diff
+        assert [(d.object_id, d.parameter.label, d.computed, d.reference) for d in diff] == [
+            ("b2", labels[2], rows[1][2] - 1, rows[1][2])
+        ]
+
 
 class TestInvariants:
+    def test_a_table_keeps_only_its_soft_set_and_rows(self, shopping):
+        table = DecisionTable(shopping, ["Cheap", "Bright"])
+        assert DecisionTable.__slots__ == ("_soft_set", "_rows")
+        assert table.objects is table.soft_set.universe and table.parameters == table.soft_set.parameters
+        assert [p.label for p in table.parameters] == ["Cheap", "Bright"] and table.objects == shopping.universe
+
     def test_entries_ignore_object_names(self, shopping):
         renamed_ids = {old: f"cand_{k}" for k, old in enumerate(shopping.universe)}
         renamed = SoftSet(

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -24,8 +26,11 @@ from inss import (
     is_subset,
     load_soft_set,
 )
+from inss.grades import Record
 from inss.oracle import (
     LAW_IDS,
+    LawCheckResult,
+    LawCounterexample,
     check_triple,
     oracle_equals,
     oracle_is_subset,
@@ -105,6 +110,26 @@ class TestLawChecker:
         s = load_soft_set(fixture("attractiveness.json"))
         with pytest.raises(ValueError, match="takes 2"):
             oracle_law_check("union-commutative", [s])
+
+    def test_results_are_frozen_records_printed_like_dataclasses(self):
+        spot = LawCounterexample(Parameter("p"), "x", "truth")
+        result = LawCheckResult("union-commutative", False, spot)
+        assert isinstance(result, Record) and isinstance(spot, Record)
+        assert LawCheckResult.__slots__ == ("law", "holds", "counterexample")
+        assert LawCounterexample.__slots__ == ("parameter", "element", "component")
+        assert repr(result) == (
+            "LawCheckResult(law='union-commutative', holds=False, counterexample=LawCounterexample("
+            "parameter=Parameter(name='p', negated=False), element='x', component='truth'))"
+        )
+        same = LawCheckResult(law="union-commutative", holds=False, counterexample=spot)
+        assert result == same and hash(result) == hash(same)
+        assert result != LawCheckResult("union-commutative", True, None)
+        for copied in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+            assert copied == result and copied is not result
+        with pytest.raises(AttributeError, match="^cannot assign to field 'holds'$"):
+            result.holds = True
+        s = load_soft_set(fixture("attractiveness.json"))
+        assert oracle_law_check("union-commutative", [s, s]) == LawCheckResult("union-commutative", True, None)
 
     def test_operands_must_share_a_universe(self):
         a = load_soft_set(fixture("attractiveness.json"))
